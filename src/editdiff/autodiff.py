@@ -49,15 +49,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         out_data = self.data[key]
 
@@ -65,14 +56,6 @@ class Tensor:
             buf = np.zeros(shape)
             buf[k] += g
             x._accum(buf)
-
-        return Tensor(out_data, parents=(self,), backward=bwd)
-
-    def reshape(self, *shape):
-        out_data = self.data.reshape(*shape)
-
-        def bwd(g, x=self):
-            x._accum(g.reshape(x.data.shape))
 
         return Tensor(out_data, parents=(self,), backward=bwd)
 
@@ -138,16 +121,6 @@ def transpose(a) -> Tensor:
         a._accum(g.T)
 
     return Tensor(a.data.T, parents=(a,), backward=bwd)
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > 0
-
-    def bwd(g, a=a, m=mask):
-        a._accum(g * m)
-
-    return Tensor(a.data * mask, parents=(a,), backward=bwd)
 
 
 def silu(a) -> Tensor:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import os
 
-# Cap BLAS threading before numpy loads anywhere; keeps runs reproducible
-# and matches the --threads 1 default.
+# Pin BLAS to one thread before numpy loads anywhere, so runs are
+# bit-reproducible; a thread count already set in the environment wins.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -17,10 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .align import lev_ratio
-from .diffusion import denoise_loop, make_random_sequence, trace_to_jsonl_rows
-from .edit_ops import (CaptionState, EditError, EditOp, NoiseSchedule, Origin,
-                       Token, sample_noising_step)
-from .metrics import MetricError, evaluate, write_report
+from .diffusion import denoise_loop, make_random_sequence, place_pins, trace_to_jsonl_rows
+from .edit_ops import CaptionState, EditError, EditOp, NoiseSchedule, Origin, sample_noising_step
+from .metrics import MetricError, contains_in_order, evaluate, write_report
 from .model import (CheckpointError, ModelConfig, ModelError, TrainConfig,
                     load_checkpoint, save_checkpoint, train)
 from .vocab import VocabularyError
@@ -155,7 +154,7 @@ def cmd_noise_demo(args) -> int:
     ids = vocab.encode_all(words)
     sch = schedule_from(cfg)
     rng = np.random.default_rng(cfg["seed"])
-    state = CaptionState.from_ids(ids, step=0, gt_len_hint=len(ids))
+    state = CaptionState.from_ids(ids, step=0)
     print(f"x_0: {' '.join(words)}")
     for t in range(1, sch.T + 1):
         script, state = sample_noising_step(state, sch, t, vocab, rng)
@@ -266,19 +265,13 @@ def cmd_control(args) -> int:
                                 "pins": args.pins, "mode": args.mode})
     pins = parse_pins(args.pins, corpus.vocab)
     rng = np.random.default_rng(cfg["seed"])
-    state = make_random_sequence(cfg["len"], corpus.vocab, rng, step=cfg["steps"])
-    tokens = list(state.tokens)
-    for pos, word in pins.items():
-        if not 0 <= pos < len(tokens):
-            raise MetricError(f"pin position {pos} out of range")
-        tokens[pos] = Token(word, Origin.RANDOM_WORD)
-    state = CaptionState(tuple(tokens), step=cfg["steps"])
+    state = place_pins(make_random_sequence(cfg["len"], corpus.vocab, rng, step=cfg["steps"]),
+                       pins)
     print("input :", " ".join(corpus.vocab.decode_all(state.ids())))
     final, _ = denoise_loop(model, ex.condition, state, cfg["steps"],
                             pinned=pins, mode=args.mode)
     print("output:", " ".join(corpus.vocab.decode_all(final.ids())))
     ordered = [w for _, w in sorted(pins.items())]
-    from .metrics import contains_in_order
     kept = contains_in_order(final.ids(), ordered)
     print(f"pins retained in order: {kept}")
     return EXIT_OK
@@ -361,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="editdiff",
         description="Edit-based discrete diffusion for explicit sequence editing")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="compute threads (1 forces full determinism)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")

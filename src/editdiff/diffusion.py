@@ -17,25 +17,12 @@ def noise_trajectory(x0, sch: NoiseSchedule, vocab: Vocabulary,
     x0 = list(x0)
     if not x0:
         raise EditError("cannot noise an empty caption")
-    state = CaptionState.from_ids(x0, step=0, gt_len_hint=len(x0))
+    state = CaptionState.from_ids(x0, step=0)
     states = [state]
     for t in range(1, sch.T + 1):
         _, state = sample_noising_step(state, sch, t, vocab, rng)
         states.append(state)
     return states
-
-
-def sample_training_example(x0, sch: NoiseSchedule, vocab: Vocabulary,
-                            rng: np.random.Generator) -> tuple[CaptionState, int]:
-    """Draw t uniform in 1..T and run a fresh trajectory forward t steps."""
-    x0 = list(x0)
-    if not x0:
-        raise EditError("cannot noise an empty caption")
-    t = int(rng.integers(1, sch.T + 1))
-    state = CaptionState.from_ids(x0, step=0, gt_len_hint=len(x0))
-    for s in range(1, t + 1):
-        _, state = sample_noising_step(state, sch, s, vocab, rng)
-    return state, t
 
 
 def sample_denoising_example(x0, sch: NoiseSchedule, vocab: Vocabulary,
@@ -68,13 +55,12 @@ def sample_denoising_example(x0, sch: NoiseSchedule, vocab: Vocabulary,
         k = min(int(rng.integers(1, 3)), len(x0) - 1)
         t = int(rng.integers(1, mid_hi))
         if k > 0:
-            return CaptionState.from_ids(x0[:len(x0) - k], step=t,
-                                         gt_len_hint=len(x0)), t
+            return CaptionState.from_ids(x0[:len(x0) - k], step=t), t
         # single-word captions cannot be truncated; fall through to a
         # trajectory at the already-drawn t
     else:
         t = int(rng.integers(1, mid_hi))
-    state = CaptionState.from_ids(x0, step=0, gt_len_hint=len(x0))
+    state = CaptionState.from_ids(x0, step=0)
     for s in range(1, t + 1):
         _, state = sample_noising_step(state, sch, s, vocab, rng)
     return state, t
@@ -88,6 +74,19 @@ def make_random_sequence(n: int, vocab: Vocabulary, rng: np.random.Generator,
     tokens = tuple(Token(sample_random_word(vocab, rng), Origin.RANDOM_WORD)
                    for _ in range(n))
     return CaptionState(tokens, step=step)
+
+
+def place_pins(c: CaptionState, pins: dict[int, int]) -> CaptionState:
+    """Overwrite a starting state's words at the pinned positions.
+
+    Pinned words are flagged random-word like the rest of a generation start.
+    """
+    tokens = list(c.tokens)
+    for pos, word in pins.items():
+        if not 0 <= pos < len(tokens):
+            raise EditError(f"pin position {pos} out of range for length {len(tokens)}")
+        tokens[pos] = Token(word, Origin.RANDOM_WORD)
+    return CaptionState(tuple(tokens), c.step)
 
 
 @dataclass(frozen=True)
@@ -106,6 +105,11 @@ def denoise_loop(model, condition, c: CaptionState, steps: int,
     In hard mode, ops at pinned positions are overridden to KEEP before each
     application, and pin positions are remapped through the edit so the
     pinned words survive every step.
+
+    A model returns None from ``predict_script`` when the caption has grown
+    past the longest input it reads.  The rollout then stops and returns that
+    last state, with a trace shorter than ``steps``; callers score the state
+    like any other.
     """
     if steps < 1:
         raise EditError("denoising needs at least one step")
@@ -120,6 +124,8 @@ def denoise_loop(model, condition, c: CaptionState, steps: int,
     trace: list[TraceStep] = []
     for t in range(steps, 0, -1):
         script = model.predict_script(condition, c, t)
+        if script is None:
+            break
         if mode == "hard" and pins:
             slots = list(script.slots)
             for pos in pins:

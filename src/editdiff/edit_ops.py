@@ -54,7 +54,6 @@ class CaptionState:
 
     tokens: tuple[Token, ...]
     step: int = 0
-    gt_len_hint: int | None = None
 
     def __post_init__(self):
         if self.step < 0:
@@ -67,9 +66,8 @@ class CaptionState:
         return [t.id for t in self.tokens]
 
     @classmethod
-    def from_ids(cls, ids, step: int = 0, origin: Origin = Origin.ORIGINAL,
-                 gt_len_hint: int | None = None) -> "CaptionState":
-        return cls(tuple(Token(int(i), origin) for i in ids), step, gt_len_hint)
+    def from_ids(cls, ids, step: int = 0, origin: Origin = Origin.ORIGINAL) -> "CaptionState":
+        return cls(tuple(Token(int(i), origin) for i in ids), step)
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ def apply_script(c: CaptionState, s: EditScript, decrement_step: bool,
             out.append(tok)
             out.append(Token(content, content_origin))
     step = max(0, c.step - 1) if decrement_step else c.step + 1
-    return CaptionState(tuple(out), step, c.gt_len_hint)
+    return CaptionState(tuple(out), step)
 
 
 def survivor_map(s: EditScript) -> dict[int, int]:
@@ -164,6 +162,10 @@ def survivor_map(s: EditScript) -> dict[int, int]:
     return mapping
 
 
+# bounds of the factor that steers the insert/delete split toward target_len
+LEN_GAIN_CLAMP = (0.5, 2.0)
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Per-step absorption rate and edit-type weights of the noising chain.
@@ -185,7 +187,6 @@ class NoiseSchedule:
     w_delete: float = 0.0
     w_insert: float = 0.0
     target_len: int = 10
-    len_gain_clamp: tuple[float, float] = (0.5, 2.0)
 
     def __post_init__(self):
         if self.T < 1:
@@ -197,26 +198,22 @@ class NoiseSchedule:
             raise EditError("edit-type weights must not all be zero")
         if sum(ws) > 1 + 1e-12:
             raise EditError("edit-type weights must sum to at most 1")
-        lo, hi = self.len_gain_clamp
-        if not (lo <= 1 <= hi):
-            raise EditError("length-gain clamp must bracket 1")
         if self.target_len < 1:
             raise EditError("target_len must be >= 1")
 
 
-def step_rates(sch: NoiseSchedule, t: int, l: int, k: int | None = None
-               ) -> tuple[float, float, float, float]:
-    """Return (replace, delete, insert, keep) rates for noising step ``t``.
+def step_rates(sch: NoiseSchedule, t: int, l: int) -> tuple[float, float, float, float]:
+    """Return (replace, delete, insert, keep) rates for noising step ``t`` of
+    a caption of length ``l``.
 
     Total absorption is 1/(T-t+1), which makes the step at which any given
     word is first noised uniform over 1..T and forces full absorption at T.
-    ``k`` (the clean-caption length) is part of the rate-table signature but
-    length steering targets the schedule's terminal length.
+    Length steering targets the schedule's terminal length.
     """
     if not 1 <= t <= sch.T:
         raise EditError(f"step {t} outside schedule range 1..{sch.T}")
     nu = 1.0 / (sch.T - t + 1)
-    lo, hi = sch.len_gain_clamp
+    lo, hi = LEN_GAIN_CLAMP
     l_eff = max(l, 1)
     gain_ins = min(max(sch.target_len / l_eff, lo), hi)
     gain_del = min(max(l_eff / sch.target_len, lo), hi)
@@ -239,7 +236,7 @@ def sample_noising_step(c: CaptionState, sch: NoiseSchedule, t: int,
     """
     if c.step != t - 1:
         raise EditError(f"caption at step {c.step} cannot take noising step {t}")
-    alpha, beta, gamma, delta = step_rates(sch, t, len(c), c.gt_len_hint)
+    alpha, beta, gamma, delta = step_rates(sch, t, len(c))
     out: list[Token] = []
     slots: list[tuple[EditOp, int | None]] = [(EditOp.KEEP, None)]
     for tok in c.tokens:
@@ -262,5 +259,5 @@ def sample_noising_step(c: CaptionState, sch: NoiseSchedule, t: int,
         else:
             slots.append((EditOp.KEEP, None))
             out.append(tok)
-    new_state = CaptionState(tuple(out), t, c.gt_len_hint)
+    new_state = CaptionState(tuple(out), t)
     return EditScript(tuple(slots)), new_state

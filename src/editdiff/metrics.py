@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .align import lev_ratio
-from .diffusion import denoise_loop, make_random_sequence
-from .edit_ops import CaptionState, Origin, Token
+from .diffusion import denoise_loop, make_random_sequence, place_pins
+from .edit_ops import CaptionState
 from .world import Corpus, corrupt_to_ratio
 
 BLEU_EPS = 1e-9
@@ -114,9 +114,9 @@ def parse_mode(mode: str) -> tuple[str, float | int | None]:
         return "control", None
     if ":" in mode:
         kind, arg = mode.split(":", 1)
-        if kind == "ood_ratio" or kind == "ood":
+        if kind == "ood":
             return "ood", float(arg)
-        if kind == "random_ref" or kind == "random":
+        if kind == "random":
             return "random", int(arg)
     raise MetricError(f"unknown evaluation mode: {mode}")
 
@@ -153,6 +153,7 @@ def evaluate(model, corpus: Corpus, mode: str, steps: int, seed: int,
 
     rows = []
     hard_outputs, soft_outputs, pin_maps = [], [], []
+    n_overflow = 0
     for ex in examples:
         x0 = list(ex.caption)
         if kind == "ood":
@@ -163,27 +164,25 @@ def evaluate(model, corpus: Corpus, mode: str, steps: int, seed: int,
             ref = state.ids()
         else:  # control
             state = make_random_sequence(10, vocab, rng, step=steps)
-            ref = state.ids()
-            pins = default_pins(x0, len(ref))
-            pinned_ids = list(state.tokens)
-            for pos, word in pins.items():
-                pinned_ids[pos] = Token(word, Origin.RANDOM_WORD)
-            state = CaptionState(tuple(pinned_ids), step=steps)
+            pins = default_pins(x0, len(state))
+            state = place_pins(state, pins)
             ref = state.ids()
         row = {"scene_id": ex.scene_id, "input": list(ref),
                "input_ratio": lev_ratio(ref, x0)}
         if kind == "control":
-            hard, _ = denoise_loop(model, ex.condition, state, steps,
-                                   pinned=pins, mode="hard")
-            soft, _ = denoise_loop(model, ex.condition, state, steps,
-                                   pinned=pins, mode="soft")
+            hard, hard_trace = denoise_loop(model, ex.condition, state, steps,
+                                            pinned=pins, mode="hard")
+            soft, soft_trace = denoise_loop(model, ex.condition, state, steps,
+                                            pinned=pins, mode="soft")
+            n_overflow += (len(hard_trace) < steps) + (len(soft_trace) < steps)
             hard_outputs.append(hard.ids())
             soft_outputs.append(soft.ids())
             pin_maps.append(pins)
             row.update({"output_hard": hard.ids(), "output_soft": soft.ids()})
             row.update({f"hard_{k}": v for k, v in _quality(hard.ids(), x0).items()})
         else:
-            final, _ = denoise_loop(model, ex.condition, state, steps)
+            final, trace = denoise_loop(model, ex.condition, state, steps)
+            n_overflow += len(trace) < steps
             row["output"] = final.ids()
             row.update(_quality(final.ids(), x0))
         rows.append(row)
@@ -191,6 +190,8 @@ def evaluate(model, corpus: Corpus, mode: str, steps: int, seed: int,
     aggregates: dict[str, float] = {
         "input_mean_ratio": float(np.mean([r["input_ratio"] for r in rows])),
         "n_examples": len(rows),
+        # rollouts stopped early because the caption outgrew max_seq_len
+        "n_overflow": n_overflow,
     }
     if kind == "control":
         aggregates["retention_hard"] = retention_rate(hard_outputs, pin_maps)

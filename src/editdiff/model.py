@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -49,14 +50,11 @@ class ModelConfig:
     ffn_dim: int = 256
     max_T: int = 10
     max_seq_len: int = 48
-    dropout: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         if self.embed_dim % self.num_heads != 0:
             raise ModelError("embed_dim must be divisible by num_heads")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ModelError("dropout must be in [0, 1)")
         for name in ("vocab_size", "cond_vocab_size", "embed_dim", "num_layers",
                      "num_heads", "ffn_dim", "max_T", "max_seq_len"):
             if getattr(self, name) < 1:
@@ -88,49 +86,44 @@ def sinusoid_table(n_positions: int, dim: int) -> np.ndarray:
     return table
 
 
+def _param_table(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """Every parameter block as (name, shape, init kind), in the order the
+    initialiser draws them and the checkpoint stores them."""
+    d, f, k = cfg.embed_dim, cfg.ffn_dim, cfg.vocab_size
+    table = [("word_emb", (k, d), "normal"),
+             ("cond_emb", (cfg.cond_vocab_size, d), "normal"),
+             ("seg_emb", (2, d), "normal")]
+    for i in range(cfg.num_layers):
+        layer = f"layers.{i}"
+        table += [(f"{layer}.attn.{w}", (d, d), "normal") for w in ("wq", "wk", "wv", "wo")]
+        table += [(f"{layer}.attn.{b}", (d,), "zeros") for b in ("bq", "bk", "bv", "bo")]
+        table += [(f"{layer}.ln1.g", (d,), "ones"), (f"{layer}.ln1.b", (d,), "zeros"),
+                  (f"{layer}.ln2.g", (d,), "ones"), (f"{layer}.ln2.b", (d,), "zeros"),
+                  (f"{layer}.ffn.w1", (d, f), "normal"), (f"{layer}.ffn.b1", (f,), "zeros"),
+                  (f"{layer}.ffn.w2", (f, d), "normal"), (f"{layer}.ffn.b2", (d,), "zeros")]
+    table += [("ln_f.g", (d,), "ones"), ("ln_f.b", (d,), "zeros"),
+              ("edit_head.w", (d, 4), "normal"), ("edit_head.b", (4,), "zeros"),
+              ("lang_head.w", (d, k), "normal"), ("lang_head.b", (k,), "zeros")]
+    return table
+
+
 class DenoiserModel:
     def __init__(self, cfg: ModelConfig):
-        self.cfg = cfg
         rng = np.random.default_rng(cfg.seed)
-        d, k = cfg.embed_dim, cfg.vocab_size
-        self.params: dict[str, Tensor] = {}
-
-        def param(name: str, shape, kind: str = "normal") -> Tensor:
+        arrays = {}
+        for name, shape, kind in _param_table(cfg):
             if kind == "normal":
-                data = rng.normal(0.0, 0.02, size=shape)
-            elif kind == "ones":
-                data = np.ones(shape)
+                arrays[name] = rng.normal(0.0, 0.02, size=shape)
             else:
-                data = np.zeros(shape)
-            t = Tensor(data, requires_grad=True)
-            self.params[name] = t
-            return t
+                arrays[name] = np.ones(shape) if kind == "ones" else np.zeros(shape)
+        self._hold(cfg, arrays)
 
-        param("word_emb", (k, d))
-        param("cond_emb", (cfg.cond_vocab_size, d))
-        param("seg_emb", (2, d))
-        for i in range(cfg.num_layers):
-            for w in ("wq", "wk", "wv", "wo"):
-                param(f"layers.{i}.attn.{w}", (d, d))
-            for b in ("bq", "bk", "bv", "bo"):
-                param(f"layers.{i}.attn.{b}", (d,), "zeros")
-            param(f"layers.{i}.ln1.g", (d,), "ones")
-            param(f"layers.{i}.ln1.b", (d,), "zeros")
-            param(f"layers.{i}.ln2.g", (d,), "ones")
-            param(f"layers.{i}.ln2.b", (d,), "zeros")
-            param(f"layers.{i}.ffn.w1", (d, cfg.ffn_dim))
-            param(f"layers.{i}.ffn.b1", (cfg.ffn_dim,), "zeros")
-            param(f"layers.{i}.ffn.w2", (cfg.ffn_dim, d))
-            param(f"layers.{i}.ffn.b2", (d,), "zeros")
-        param("ln_f.g", (d,), "ones")
-        param("ln_f.b", (d,), "zeros")
-        param("edit_head.w", (d, 4))
-        param("edit_head.b", (4,), "zeros")
-        param("lang_head.w", (d, k))
-        param("lang_head.b", (k,), "zeros")
-
-        self.pos_table = position_codes(cfg.max_seq_len, d)
-        self.time_table = sinusoid_table(cfg.max_T + 1, d)
+    def _hold(self, cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
+        self.cfg = cfg
+        self.params: dict[str, Tensor] = {name: Tensor(data, requires_grad=True)
+                                          for name, data in arrays.items()}
+        self.pos_table = position_codes(cfg.max_seq_len, cfg.embed_dim)
+        self.time_table = sinusoid_table(cfg.max_T + 1, cfg.embed_dim)
 
     def param_list(self) -> list[Tensor]:
         return list(self.params.values())
@@ -163,9 +156,7 @@ class DenoiserModel:
         return ad.add(ad.matmul(h, p[f"layers.{layer}.ffn.w2"]),
                       p[f"layers.{layer}.ffn.b2"])
 
-    def forward(self, condition, caption_ids, t: int,
-                dropout_rng: np.random.Generator | None = None
-                ) -> tuple[Tensor, Tensor]:
+    def forward(self, condition, caption_ids, t: int) -> tuple[Tensor, Tensor]:
         """Return (op_logits, word_logits), each with l+1 rows (START first)."""
         cfg = self.cfg
         condition = list(condition)
@@ -199,14 +190,9 @@ class DenoiserModel:
         else:
             x = word_x
 
-        drop = cfg.dropout
         for i in range(cfg.num_layers):
-            h = self._attention(self._ln(x, f"layers.{i}.ln1"), i)
-            h = _maybe_dropout(h, drop, dropout_rng)
-            x = ad.add(x, h)
-            h = self._ffn(self._ln(x, f"layers.{i}.ln2"), i)
-            h = _maybe_dropout(h, drop, dropout_rng)
-            x = ad.add(x, h)
+            x = ad.add(x, self._attention(self._ln(x, f"layers.{i}.ln1"), i))
+            x = ad.add(x, self._ffn(self._ln(x, f"layers.{i}.ln2"), i))
         x = self._ln(x, "ln_f")
 
         rows = x[nc:, :]
@@ -225,8 +211,14 @@ class DenoiserModel:
         word_logits = ad.add(word_logits, Tensor(special_mask))
         return op_logits, word_logits
 
-    def predict_script(self, condition, c: CaptionState, t: int) -> EditScript:
-        """Greedy argmax decoding of both heads into a well-formed script."""
+    def predict_script(self, condition, c: CaptionState, t: int) -> EditScript | None:
+        """Greedy argmax decoding of both heads into a well-formed script.
+
+        Returns None when the caption has outgrown ``max_seq_len``, which
+        ends the rollout (see ``denoise_loop``).
+        """
+        if len(condition) + 1 + len(c) > self.cfg.max_seq_len:
+            return None
         op_logits, word_logits = self.forward(condition, c.ids(), t)
         ops = np.argmax(op_logits.data, axis=1)
         words = np.argmax(word_logits.data, axis=1)
@@ -238,13 +230,6 @@ class DenoiserModel:
             else:
                 slots.append((op, None))
         return EditScript(tuple(slots))
-
-
-def _maybe_dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    if rate <= 0 or rng is None:
-        return x
-    mask = (rng.random(x.shape) >= rate) / (1 - rate)
-    return ad.mul(x, Tensor(mask))
 
 
 def script_targets(gt: EditScript) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -297,12 +282,7 @@ def holdout_exact_match(model: DenoiserModel, examples, sch: NoiseSchedule,
     hits = 0
     for ex in subset:
         start = make_random_sequence(sch.target_len, vocab, rng, step=sch.T)
-        try:
-            final, _ = denoise_loop(model, ex.condition, start, sch.T)
-        except ModelError:
-            # an undertrained model can grow the caption past max_seq_len;
-            # score the rollout as a miss instead of aborting training
-            continue
+        final, _ = denoise_loop(model, ex.condition, start, sch.T)
         hits += int(tuple(final.ids()) == tuple(ex.caption))
     return hits / len(subset)
 
@@ -332,9 +312,7 @@ def train(corpus, sch: NoiseSchedule, cfg: ModelConfig, hyper: TrainConfig,
             x_t, t = sample_denoising_example(ex.caption, sch, vocab, rng,
                                               hyper.p_terminal, hyper.p_truncate)
             gt = align(x_t, ex.caption)
-            op_logits, word_logits = model.forward(
-                ex.condition, x_t.ids(), t,
-                dropout_rng=rng if cfg.dropout > 0 else None)
+            op_logits, word_logits = model.forward(ex.condition, x_t.ids(), t)
             loss, l_edit, l_lang = model_loss(op_logits, word_logits, gt)
             if not np.isfinite(loss.data):
                 raise RuntimeError(
@@ -391,32 +369,84 @@ def save_checkpoint(model: DenoiserModel, path, metadata: dict | None = None) ->
             f.write(tensor.data.astype("<f8").tobytes())
 
 
+def _json_object(blob: bytes, what: str) -> dict:
+    try:
+        value = json.loads(blob.decode("utf-8"))
+    except ValueError as e:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"bad checkpoint {what} JSON: {e}") from None
+    if not isinstance(value, dict):
+        raise CheckpointError(f"checkpoint {what} must be a JSON object")
+    return value
+
+
+def _config_from(raw: dict) -> ModelConfig:
+    # checkpoints written while ModelConfig had a dropout field store
+    # "dropout": 0.0, the only value any command set
+    dropout = raw.pop("dropout", 0.0)
+    if dropout != 0.0:
+        raise CheckpointError(f"checkpoint config has dropout {dropout!r}; only 0.0 is supported")
+    keys = {f.name for f in fields(ModelConfig)}
+    if raw.keys() != keys:
+        raise CheckpointError(f"checkpoint config keys: unknown {sorted(raw.keys() - keys)}, "
+                              f"missing {sorted(keys - raw.keys())}")
+    if any(type(v) is not int for v in raw.values()):
+        raise CheckpointError(f"checkpoint config values must be integers: {raw}")
+    try:
+        return ModelConfig(**raw)
+    except ModelError as e:
+        raise CheckpointError(f"bad checkpoint config: {e}") from None
+
+
 def load_checkpoint(path) -> tuple[DenoiserModel, dict]:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    The parameter blocks must be exactly those of the config's parameter
+    table, in its order and with its shapes.  A short read, trailing bytes
+    or any other mismatch raises ``CheckpointError``.
+    """
     with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
+        size = os.fstat(f.fileno()).st_size
+        pos = 0
+
+        def take(n: int) -> bytes:
+            # a corrupt length must not size a read past the end of the file
+            nonlocal pos
+            data = f.read(n) if n <= size - pos else b""
+            if len(data) != n:
+                raise CheckpointError(f"checkpoint truncated: {n} bytes wanted at offset {pos}, "
+                                      f"{size - pos} left")
+            pos += n
+            return data
+
+        def u32() -> int:
+            return struct.unpack("<I", take(4))[0]
+
+        magic = take(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad checkpoint magic: {magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
+        version = u32()
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-
-        def read_blob() -> bytes:
-            (size,) = struct.unpack("<I", f.read(4))
-            return f.read(size)
-
-        cfg = ModelConfig(**json.loads(read_blob().decode("utf-8")))
-        metadata = json.loads(read_blob().decode("utf-8"))
-        model = DenoiserModel(cfg)
-        (n_params,) = struct.unpack("<I", f.read(4))
-        if n_params != len(model.params):
-            raise CheckpointError("parameter count mismatch")
-        for _ in range(n_params):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
-            data = np.frombuffer(f.read(8 * int(np.prod(shape))), dtype="<f8")
-            if name not in model.params or model.params[name].data.shape != shape:
-                raise CheckpointError(f"unexpected parameter block {name} {shape}")
-            model.params[name].data = data.reshape(shape).astype(np.float64)
+        cfg = _config_from(_json_object(take(u32()), "config"))
+        metadata = _json_object(take(u32()), "metadata")
+        table = _param_table(cfg)
+        n_blocks = u32()
+        if n_blocks != len(table):
+            raise CheckpointError(f"{n_blocks} parameter blocks, want {len(table)}")
+        arrays = {}
+        for name, shape, _ in table:
+            got = take(u32())
+            ndim = u32()
+            if got != name.encode("utf-8") or ndim != len(shape):
+                raise CheckpointError(f"parameter block {got!r} of {ndim} dims, "
+                                      f"want {name!r} {shape}")
+            dims = tuple(u32() for _ in range(ndim))
+            if dims != shape:
+                raise CheckpointError(f"parameter block {name!r} has shape {dims}, want {shape}")
+            arrays[name] = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8"
+                                         ).reshape(shape).astype(np.float64)
+        if pos != size:
+            raise CheckpointError(f"{size - pos} trailing bytes after the parameter blocks")
+    model = DenoiserModel.__new__(DenoiserModel)  # skips the random init
+    model._hold(cfg, arrays)
     return model, metadata

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +27,15 @@ class Vocabulary:
     """
 
     tokens: tuple[str, ...]
+    _ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.tokens) < NUM_SPECIALS or self.tokens[0] != START or self.tokens[1] != PAD:
             raise VocabularyError("vocabulary must start with START, PAD")
-        if len(set(self.tokens)) != len(self.tokens):
+        ids = {w: i for i, w in enumerate(self.tokens)}
+        if len(ids) != len(self.tokens):
             raise VocabularyError("duplicate tokens")
+        object.__setattr__(self, "_ids", ids)
 
     @property
     def size(self) -> int:
@@ -40,14 +43,13 @@ class Vocabulary:
 
     def encode(self, word: str) -> int:
         try:
-            return self.tokens.index(word)
-        except ValueError:
+            return self._ids[word]
+        except KeyError:
             raise VocabularyError(f"unknown word: {word!r}") from None
 
     def encode_all(self, words: list[str]) -> list[int]:
-        table = self._table()
         try:
-            return [table[w] for w in words]
+            return [self._ids[w] for w in words]
         except KeyError as e:
             raise VocabularyError(f"unknown word: {e.args[0]!r}") from None
 
@@ -58,9 +60,6 @@ class Vocabulary:
 
     def decode_all(self, ids) -> list[str]:
         return [self.decode(int(i)) for i in ids]
-
-    def _table(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self.tokens)}
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")

@@ -69,9 +69,8 @@ def test_gather_routes_gradients_to_rows():
     assert np.array_equal(table.grad, expect)
 
 
-def test_relu_and_silu_values():
+def test_silu_values():
     x = leaf([-2.0, 0.0, 3.0])
-    assert np.array_equal(ad.relu(x).data, [0.0, 0.0, 3.0])
     s = ad.silu(x).data
     assert s[1] == 0.0 and s[2] > 0.0 and -0.5 < s[0] < 0.0
 

@@ -1,5 +1,7 @@
 import argparse
 import json
+import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,8 @@ from editdiff.cli import (
     resolve,
 )
 from editdiff.metrics import MetricError
+from editdiff.model import (CheckpointError, DenoiserModel, ModelConfig, load_checkpoint,
+                            save_checkpoint)
 from editdiff.world import WorldSpec, load_corpus, make_corpus, save_corpus
 
 TINY_TRAIN = ["--epochs", "2", "--batch", "4", "--embed-dim", "16",
@@ -218,6 +222,93 @@ def test_corrupt_checkpoint_is_format_error(trained, tmp_path, capsys):
     code = main(["eval", "--ckpt", str(bad), "--corpus", str(corpus_dir),
                  "--mode", "random:10", "--out", str(tmp_path / "r.json")])
     assert code == EXIT_FORMAT
+    assert "format error" in capsys.readouterr().err
+
+
+def test_eval_overlong_rollouts_exit_ok(trained, tmp_path):
+    # an untrained model with room for few caption words grows its captions
+    # past max_seq_len; those rollouts stop, are scored and are counted
+    corpus_dir, _ = trained
+    corpus = load_corpus(corpus_dir)
+    ckpt = tmp_path / "untrained.ckpt"
+    save_checkpoint(DenoiserModel(ModelConfig(
+        vocab_size=corpus.vocab.size, cond_vocab_size=corpus.spec.cond_vocab_size,
+        embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32, max_seq_len=22, seed=3)), ckpt)
+    out = tmp_path / "report.json"
+    code = main(["eval", "--ckpt", str(ckpt), "--corpus", str(corpus_dir),
+                 "--mode", "control", "--out", str(out)])
+    assert code == EXIT_OK
+    assert json.loads(out.read_text(encoding="utf-8"))["aggregates"]["n_overflow"] >= 1
+
+
+def _checkpoint_bytes(cfg: dict, blocks, meta: bytes = b"{}", count: int | None = None) -> bytes:
+    """A checkpoint in the documented layout, written apart from save_checkpoint."""
+    def u32(n):
+        return struct.pack("<I", n)
+
+    out = [b"EDIF1", u32(1)]
+    for blob in (json.dumps(cfg).encode("utf-8"), meta):
+        out += [u32(len(blob)), blob]
+    out.append(u32(len(blocks) if count is None else count))
+    for name, array in blocks:
+        out += [u32(len(name)), name.encode("utf-8"), u32(array.ndim),
+                *(u32(dim) for dim in array.shape), array.astype("<f8").tobytes()]
+    return b"".join(out)
+
+
+def _cut(at):
+    """Intact checkpoint bytes cut to their first ``at(length)`` bytes."""
+    def make(cfg, blocks):
+        data = _checkpoint_bytes(cfg, blocks)
+        return data[:at(len(data))]
+    return make
+
+
+# case: (checkpoint bytes from the intact config and blocks, error pattern or
+# None when the checkpoint must load)
+CHECKPOINT_CASES = {
+    "intact": (lambda c, b: _checkpoint_bytes(c, b), None),
+    "legacy-dropout-zero": (lambda c, b: _checkpoint_bytes({**c, "dropout": 0.0}, b), None),
+    "cut-in-version": (_cut(lambda n: 7), "truncated"),
+    "cut-in-config": (_cut(lambda n: 30), "truncated"),
+    "cut-in-half": (_cut(lambda n: n // 2), "truncated"),
+    "cut-last-byte": (_cut(lambda n: n - 1), "truncated"),
+    "trailing-bytes": (lambda c, b: _checkpoint_bytes(c, b) + b"\0" * 4, "trailing"),
+    "duplicated-block": (lambda c, b: _checkpoint_bytes(c, [b[0], b[0]] + b[2:]),
+                         "parameter block b'word_emb'"),
+    "missing-block": (lambda c, b: _checkpoint_bytes(c, b[:1] + b[2:]), "parameter blocks, want"),
+    "missing-block-kept-count": (lambda c, b: _checkpoint_bytes(c, b[:-1], count=len(b)),
+                                 "truncated"),
+    "unknown-key": (lambda c, b: _checkpoint_bytes({**c, "width": 3}, b), "unknown \\['width'\\]"),
+    "missing-key": (lambda c, b: _checkpoint_bytes({k: v for k, v in c.items() if k != "seed"},
+                                                   b), "missing \\['seed'\\]"),
+    "nonzero-dropout": (lambda c, b: _checkpoint_bytes({**c, "dropout": 0.1}, b), "dropout 0.1"),
+    "rejected-config": (lambda c, b: _checkpoint_bytes({**c, "num_heads": 3}, b),
+                        "divisible by num_heads"),
+    "non-integer-config": (lambda c, b: _checkpoint_bytes({**c, "embed_dim": "16"}, b),
+                           "integers"),
+    "metadata-not-object": (lambda c, b: _checkpoint_bytes(c, b, meta=b"[]"), "JSON object"),
+    "metadata-bad-json": (lambda c, b: _checkpoint_bytes(c, b, meta=b"{"), "metadata JSON"),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECKPOINT_CASES))
+def test_checkpoint_corruption_exit_codes(trained, tmp_path, capsys, case):
+    corpus_dir, ckpt = trained
+    model, _ = load_checkpoint(ckpt)
+    blocks = [(name, p.data) for name, p in model.params.items()]
+    make, pattern = CHECKPOINT_CASES[case]
+    path = tmp_path / "case.ckpt"
+    path.write_bytes(make(asdict(model.cfg), blocks))
+    args = ["eval", "--ckpt", str(path), "--corpus", str(corpus_dir), "--mode", "random:10",
+            "--limit", "1", "--steps", "1", "--out", str(tmp_path / "r.json")]
+    if pattern is None:
+        assert load_checkpoint(path)[0].cfg == model.cfg
+        assert main(args) == EXIT_OK
+        return
+    with pytest.raises(CheckpointError, match=pattern):
+        load_checkpoint(path)
+    assert main(args) == EXIT_FORMAT
     assert "format error" in capsys.readouterr().err
 
 

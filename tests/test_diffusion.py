@@ -6,7 +6,6 @@ from editdiff.diffusion import (
     make_random_sequence,
     noise_trajectory,
     sample_denoising_example,
-    sample_training_example,
     trace_to_jsonl_rows,
 )
 from editdiff.edit_ops import (
@@ -31,7 +30,6 @@ def test_trajectory_shape_and_bookkeeping():
     assert traj[0].ids() == x0
     for t, state in enumerate(traj):
         assert state.step == t
-        assert state.gt_len_hint == len(x0)
 
 
 def test_trajectory_terminal_state_fully_random():
@@ -58,19 +56,6 @@ def test_single_step_schedule_absorbs_immediately():
     sch = NoiseSchedule(T=1)
     traj = noise_trajectory(list(range(2, 8)), sch, VOCAB, rng)
     assert all(tok.origin is Origin.RANDOM_WORD for tok in traj[1].tokens)
-
-
-def test_sample_training_example_range_and_frequency():
-    rng = np.random.default_rng(4)
-    counts = np.zeros(SCH.T + 1)
-    for _ in range(5000):
-        x_t, t = sample_training_example(list(range(2, 9)), SCH, VOCAB, rng)
-        assert 1 <= t <= SCH.T
-        assert x_t.step == t
-        assert x_t.gt_len_hint == 7
-        counts[t] += 1
-    freqs = counts[1:] / 5000
-    assert np.all(np.abs(freqs - 1 / SCH.T) < 0.02)
 
 
 def test_sample_denoising_example_branches():
@@ -159,6 +144,23 @@ def test_denoise_identity_model():
     assert len(trace) == 10
     assert [s.t for s in trace] == list(range(10, 0, -1))
     assert out.step == 0
+
+
+def test_denoise_stops_when_model_cannot_read_caption():
+    class GrowingModel:
+        """Inserts a word per step and, like a model whose input holds at
+        most four caption words, returns None once the caption is longer."""
+
+        def predict_script(self, condition, c, t):
+            if len(c) > 4:
+                return None
+            return EditScript(((EditOp.INSERT, 9),) + ((EditOp.KEEP, None),) * len(c))
+
+    c = CaptionState.from_ids([5, 6, 7], step=10)
+    out, trace = denoise_loop(GrowingModel(), [], c, 10)
+    assert [s.t for s in trace] == [10, 9]
+    assert out == trace[-1].after
+    assert out.ids() == [9, 9, 5, 6, 7]
 
 
 def test_denoise_validates_arguments():

@@ -129,8 +129,6 @@ def test_schedule_validation():
     with pytest.raises(EditError):
         NoiseSchedule(w_replace=0.9, w_delete=0.2, w_insert=0.2)
     with pytest.raises(EditError):
-        NoiseSchedule(len_gain_clamp=(1.5, 2.0))
-    with pytest.raises(EditError):
         NoiseSchedule(target_len=0)
 
 

@@ -17,6 +17,7 @@ from editdiff.metrics import (
     token_f1,
     write_report,
 )
+from editdiff.model import DenoiserModel, ModelConfig
 from editdiff.world import WorldSpec, make_corpus
 
 K, R = EditOp.KEEP, EditOp.REPLACE
@@ -87,12 +88,11 @@ def test_retention_rate():
 def test_parse_mode():
     assert parse_mode("indomain") == ("ood", 0.5)
     assert parse_mode("ood:0.3") == ("ood", 0.3)
-    assert parse_mode("ood_ratio:0.9") == ("ood", 0.9)
     assert parse_mode("random:8") == ("random", 8)
-    assert parse_mode("random_ref:12") == ("random", 12)
     assert parse_mode("control") == ("control", None)
-    with pytest.raises(MetricError):
-        parse_mode("weird")
+    for mode in ("weird", "ood_ratio:0.9", "random_ref:12"):
+        with pytest.raises(MetricError):
+            parse_mode(mode)
 
 
 def test_default_pins_positions_and_words():
@@ -128,6 +128,7 @@ def test_evaluate_random_mode_with_oracle(small_corpus):
     assert agg["em"] == 1.0
     assert agg["ratio"] == 1.0
     assert agg["n_examples"] == len(small_corpus.test)
+    assert agg["n_overflow"] == 0
     assert report["mode"] == "random:10"
 
 
@@ -147,6 +148,26 @@ def test_evaluate_control_mode_retention(small_corpus):
     assert "retention_soft" in agg
     for row in report["rows"]:
         assert "output_hard" in row and "output_soft" in row
+
+
+@pytest.mark.parametrize("mode", ["random:10", "ood:0.5", "control"])
+def test_evaluate_scores_overlong_rollouts(small_corpus, mode):
+    # an untrained model inserts freely; with room for few caption words its
+    # rollouts outgrow max_seq_len, stop there, and are scored as they stand
+    cfg = ModelConfig(vocab_size=small_corpus.vocab.size,
+                      cond_vocab_size=small_corpus.spec.cond_vocab_size, embed_dim=16,
+                      num_layers=1, num_heads=2, ffn_dim=32, max_seq_len=22, seed=3)
+    report = evaluate(DenoiserModel(cfg), small_corpus, mode, steps=10, seed=0)
+    agg = report["aggregates"]
+    assert agg["n_examples"] == len(small_corpus.test)
+    key = "output_hard" if mode == "control" else "output"
+    conditions = {ex.scene_id: ex.condition for ex in small_corpus.test}
+    too_long = [r for r in report["rows"]
+                if len(conditions[r["scene_id"]]) + 1 + len(r[key]) > cfg.max_seq_len]
+    assert too_long
+    assert 1 <= agg["n_overflow"] <= (2 if mode == "control" else 1) * len(report["rows"])
+    for row in too_long:
+        assert row[("hard_" if mode == "control" else "") + "em"] == 0
 
 
 def test_evaluate_determinism(small_corpus):

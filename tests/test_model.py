@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,8 +35,6 @@ def tiny_model():
 def test_config_validation():
     with pytest.raises(ModelError):
         ModelConfig(vocab_size=10, cond_vocab_size=5, embed_dim=10, num_heads=4)
-    with pytest.raises(ModelError):
-        ModelConfig(vocab_size=10, cond_vocab_size=5, dropout=1.0)
     with pytest.raises(ModelError):
         ModelConfig(vocab_size=0, cond_vocab_size=5)
 
@@ -201,6 +202,29 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     a, _ = m.forward([0], [5, 6], t=2)
     b, _ = loaded.forward([0], [5, 6], t=2)
     assert np.array_equal(a.data, b.data)
+
+
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "model.ckpt"
+
+
+def test_pinned_legacy_checkpoint_round_trips(tmp_path):
+    # the benchmark's fixed checkpoint predates the removal of the dropout
+    # option, so its config still holds "dropout": 0.0
+    data = PINNED.read_bytes()
+    sha = PINNED.with_name("model.ckpt.sha256").read_text(encoding="utf-8").split()[0]
+    assert hashlib.sha256(data).hexdigest() == sha
+    assert b'"dropout": 0.0' in data[:512]
+    model, meta = load_checkpoint(PINNED)
+    for p in model.params.values():
+        assert p.data.astype("<f8").tobytes() in data
+    path = tmp_path / "again.ckpt"
+    save_checkpoint(model, path, metadata=meta)
+    again, meta_again = load_checkpoint(path)
+    assert meta_again == meta
+    assert again.cfg == model.cfg
+    assert list(again.params) == list(model.params)
+    for name, p in model.params.items():
+        assert again.params[name].data.tobytes() == p.data.tobytes()
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
