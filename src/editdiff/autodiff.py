@@ -2,11 +2,14 @@
 
 A dynamic tape is rebuilt on every forward pass; backward walks the tape in
 a fixed topological order, so single-threaded runs are bit-reproducible.
-Only the primitives the denoiser needs are implemented; shapes are checked
-eagerly and errors name the offending op.
+Inside ``no_grad()`` no tape is built at all.  Only the primitives the
+denoiser needs are implemented; shapes are checked eagerly and errors name
+the offending op.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,12 +28,30 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no tape inside the block: results keep no parents and no backward
+    closure and do not require grad.  The previous mode is restored on exit,
+    also when the block raises."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        if not _grad_enabled:
+            parents, backward = (), None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
         self._backward = backward
@@ -102,32 +123,52 @@ def scale(a, factor: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out_data = a.data @ b.data
+    try:
+        out_data = a.data @ b.data
+    except ValueError:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
 
     def bwd(g, a=a, b=b):
-        a._accum(g @ b.data.T)
-        b._accum(a.data.T @ g)
+        a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return Tensor(out_data, parents=(a, b), backward=bwd)
 
 
-def transpose(a) -> Tensor:
+def transpose(a, axes=None) -> Tensor:
+    """Permute axes (reverse them by default, as ``np.transpose``)."""
+    a = as_tensor(a)
+    inverse = None if axes is None else tuple(np.argsort(axes))
+
+    def bwd(g, a=a, inverse=inverse):
+        a._accum(np.transpose(g, inverse))
+
+    return Tensor(np.transpose(a.data, axes), parents=(a,), backward=bwd)
+
+
+def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
 
     def bwd(g, a=a):
-        a._accum(g.T)
+        a._accum(g.reshape(a.data.shape))
 
-    return Tensor(a.data.T, parents=(a,), backward=bwd)
+    return Tensor(a.data.reshape(shape), parents=(a,), backward=bwd)
 
 
 def silu(a) -> Tensor:
     """x * sigmoid(x); smooth, so finite-difference checks stay clean."""
     a = as_tensor(a)
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    out_data = a.data * sig
+    # computed in one buffer; with no tape, sig is not kept for backward
+    # and the buffer takes the output too
+    sig = np.negative(a.data)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    out_data = np.multiply(a.data, sig, out=None if _grad_enabled else sig)
 
     def bwd(g, a=a, sig=sig):
         a._accum(g * sig * (1.0 + a.data * (1.0 - sig)))
@@ -138,9 +179,8 @@ def silu(a) -> Tensor:
 def softmax(a) -> Tensor:
     """Softmax over the last axis."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    y /= y.sum(axis=-1, keepdims=True)
 
     def bwd(g, a=a, y=y):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -166,11 +206,12 @@ def layer_norm(a, eps: float = 1e-5) -> Tensor:
 
 
 def gather(table, ids) -> Tensor:
-    """Embedding lookup: rows of ``table`` selected by an integer vector."""
+    """Rows of ``table`` (along its first axis) selected by an integer array of
+    any shape; the result has shape ``ids.shape + table.shape[1:]``."""
     table = as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1 or table.data.ndim != 2:
-        raise ShapeError(f"gather: need 2-D table and 1-D ids, got {table.shape} and {ids.shape}")
+    if table.data.ndim < 1:
+        raise ShapeError("gather: cannot select rows of a scalar")
 
     def bwd(g, t=table, ids=ids):
         buf = np.zeros_like(t.data)

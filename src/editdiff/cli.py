@@ -230,7 +230,7 @@ def cmd_edit(args) -> int:
                              "ref": args.ref})
     ids = corpus.vocab.encode_all(args.ref.split())
     state = CaptionState.from_ids(ids, step=cfg["steps"])
-    final, trace = denoise_loop(model, ex.condition, state, cfg["steps"])
+    [(final, trace)] = denoise_loop(model, [ex.condition], [state], cfg["steps"])
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as f:
             for row in trace_to_jsonl_rows(trace, corpus.vocab):
@@ -250,7 +250,7 @@ def cmd_generate(args) -> int:
     rng = np.random.default_rng(cfg["seed"])
     state = make_random_sequence(cfg["len"], corpus.vocab, rng, step=cfg["steps"])
     print("input :", " ".join(corpus.vocab.decode_all(state.ids())))
-    final, _ = denoise_loop(model, ex.condition, state, cfg["steps"])
+    [(final, _)] = denoise_loop(model, [ex.condition], [state], cfg["steps"])
     print("output:", " ".join(corpus.vocab.decode_all(final.ids())))
     print("target:", " ".join(corpus.vocab.decode_all(ex.caption)))
     return EXIT_OK
@@ -268,8 +268,9 @@ def cmd_control(args) -> int:
     state = place_pins(make_random_sequence(cfg["len"], corpus.vocab, rng, step=cfg["steps"]),
                        pins)
     print("input :", " ".join(corpus.vocab.decode_all(state.ids())))
-    final, _ = denoise_loop(model, ex.condition, state, cfg["steps"],
-                            pinned=pins, mode=args.mode)
+    # soft mode places the pins in the start only; hard mode keeps them
+    [(final, _)] = denoise_loop(model, [ex.condition], [state], cfg["steps"],
+                                pins=[pins if args.mode == "hard" else None])
     print("output:", " ".join(corpus.vocab.decode_all(final.ids())))
     ordered = [w for _, w in sorted(pins.items())]
     kept = contains_in_order(final.ids(), ordered)

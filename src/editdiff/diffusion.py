@@ -89,7 +89,7 @@ def place_pins(c: CaptionState, pins: dict[int, int]) -> CaptionState:
     return CaptionState(tuple(tokens), c.step)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     t: int
     script: EditScript
@@ -97,47 +97,64 @@ class TraceStep:
     after: CaptionState
 
 
-def denoise_loop(model, condition, c: CaptionState, steps: int,
-                 pinned: dict[int, int] | None = None, mode: str = "soft"
-                 ) -> tuple[CaptionState, list[TraceStep]]:
-    """Iteratively apply predicted scripts for t = steps .. 1.
+# rollouts decoded per model call; a larger batch amortises more per-call
+# overhead but holds more activations at once
+ROLLOUTS_PER_FORWARD = 8
 
-    In hard mode, ops at pinned positions are overridden to KEEP before each
+
+def denoise_loop(model, conditions, starts, steps: int, pins=None
+                 ) -> list[tuple[CaptionState, list[TraceStep]]]:
+    """Roll out every start together, applying predicted scripts for
+    t = steps .. 1; returns (final state, trace) per start, in order.
+
+    Rollout i denoises ``starts[i]`` under ``conditions[i]``.  Each step
+    hands the live rollouts to ``model.predict_script`` in batches of
+    ``ROLLOUTS_PER_FORWARD``.  ``pins[i]``, when given and non-empty, pins
+    words hard: ops at pinned positions are overridden to KEEP before each
     application, and pin positions are remapped through the edit so the
     pinned words survive every step.
 
-    A model returns None from ``predict_script`` when the caption has grown
-    past the longest input it reads.  The rollout then stops and returns that
-    last state, with a trace shorter than ``steps``; callers score the state
-    like any other.
+    A model returns None for a caption that has grown past the longest
+    input it reads.  That rollout then stops and keeps its last state, with
+    a trace shorter than ``steps``; callers score the state like any other.
     """
     if steps < 1:
         raise EditError("denoising needs at least one step")
-    if mode not in ("soft", "hard"):
-        raise EditError(f"unknown pinning mode: {mode}")
-    pins = dict(pinned) if pinned else {}
-    if mode == "hard":
-        for pos in pins:
+    states = list(starts)
+    conditions = [list(c) for c in conditions]
+    pins = [dict(p) if p else {} for p in (pins or [None] * len(states))]
+    if not len(conditions) == len(states) == len(pins):
+        raise EditError(f"{len(conditions)} conditions, {len(states)} starts and "
+                        f"{len(pins)} pin maps; need one of each per rollout")
+    for c, row_pins in zip(states, pins):
+        for pos in row_pins:
             if not 0 <= pos < len(c):
                 raise EditError(f"pinned position {pos} out of range for length {len(c)}")
-    condition = list(condition)
-    trace: list[TraceStep] = []
+    traces: list[list[TraceStep]] = [[] for _ in states]
+    live = list(range(len(states)))
     for t in range(steps, 0, -1):
-        script = model.predict_script(condition, c, t)
-        if script is None:
-            break
-        if mode == "hard" and pins:
-            slots = list(script.slots)
-            for pos in pins:
-                slots[pos + 1] = (EditOp.KEEP, None)
-            script = EditScript(tuple(slots))
-        after = apply_script(c, script, decrement_step=True)
-        trace.append(TraceStep(t, script, c, after))
-        if mode == "hard" and pins:
-            mapping = survivor_map(script)
-            pins = {mapping[pos]: word for pos, word in pins.items() if pos in mapping}
-        c = after
-    return c, trace
+        still_live = []
+        for lo in range(0, len(live), ROLLOUTS_PER_FORWARD):
+            batch = live[lo:lo + ROLLOUTS_PER_FORWARD]
+            scripts = model.predict_script([conditions[i] for i in batch],
+                                           [states[i] for i in batch], t)
+            for i, script in zip(batch, scripts):
+                if script is None:
+                    continue
+                if pins[i]:
+                    slots = list(script.slots)
+                    for pos in pins[i]:
+                        slots[pos + 1] = (EditOp.KEEP, None)
+                    script = EditScript(tuple(slots))
+                    mapping = survivor_map(script)
+                    pins[i] = {mapping[pos]: word for pos, word in pins[i].items()
+                               if pos in mapping}
+                after = apply_script(states[i], script, decrement_step=True)
+                traces[i].append(TraceStep(t, script, states[i], after))
+                states[i] = after
+                still_live.append(i)
+        live = still_live
+    return list(zip(states, traces))
 
 
 def trace_to_jsonl_rows(trace: list[TraceStep], vocab: Vocabulary) -> list[dict]:

@@ -70,7 +70,7 @@ class CaptionState:
         return cls(tuple(Token(int(i), origin) for i in ids), step)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EditScript:
     """Per-slot (op, content) list; slot 0 is the sentinel before the caption.
 

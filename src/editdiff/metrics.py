@@ -76,10 +76,11 @@ def bleu(hyp, refs, max_n: int = 4) -> float:
     log_sum = 0.0
     for n in range(1, max_n + 1):
         hyp_counts = _ngrams(hyp, n)
+        ref_counts = [_ngrams(r, n) for r in refs]
         total = sum(hyp_counts.values())
         clipped = 0
         for gram, count in hyp_counts.items():
-            clipped += min(count, max(_ngrams(r, n).get(gram, 0) for r in refs))
+            clipped += min(count, max(rc.get(gram, 0) for rc in ref_counts))
         p = clipped / total if clipped > 0 else BLEU_EPS
         log_sum += log(p) / max_n
     c = len(hyp)
@@ -115,7 +116,10 @@ def parse_mode(mode: str) -> tuple[str, float | int | None]:
     if ":" in mode:
         kind, arg = mode.split(":", 1)
         if kind == "ood":
-            return "ood", float(arg)
+            ratio = float(arg)
+            if not 0.0 <= ratio <= 1.0:  # also rejects nan
+                raise MetricError(f"ood target ratio must be in [0, 1], got {arg}")
+            return "ood", ratio
         if kind == "random":
             return "random", int(arg)
     raise MetricError(f"unknown evaluation mode: {mode}")
@@ -147,55 +151,59 @@ def evaluate(model, corpus: Corpus, mode: str, steps: int, seed: int,
     rng = np.random.default_rng(seed)
     examples = corpus.split(split)
     if limit is not None:
+        if limit < 0:
+            raise MetricError(f"limit must be >= 0, got {limit}")
         examples = examples[:limit]
     if not examples:
         raise MetricError(f"split {split!r} is empty")
 
-    rows = []
-    hard_outputs, soft_outputs, pin_maps = [], [], []
-    n_overflow = 0
+    # every start is drawn before any rollout, in scene order; rollouts draw
+    # no random numbers, so the rng stream is that of one scene at a time
+    starts, pin_maps = [], []
     for ex in examples:
-        x0 = list(ex.caption)
         if kind == "ood":
-            ref = corrupt_to_ratio(x0, arg, vocab, rng)
-            state = CaptionState.from_ids(ref, step=steps)
+            state = CaptionState.from_ids(corrupt_to_ratio(list(ex.caption), arg, vocab, rng),
+                                          step=steps)
         elif kind == "random":
             state = make_random_sequence(arg, vocab, rng, step=steps)
-            ref = state.ids()
         else:  # control
             state = make_random_sequence(10, vocab, rng, step=steps)
-            pins = default_pins(x0, len(state))
+            pins = default_pins(list(ex.caption), len(state))
             state = place_pins(state, pins)
-            ref = state.ids()
-        row = {"scene_id": ex.scene_id, "input": list(ref),
-               "input_ratio": lev_ratio(ref, x0)}
-        if kind == "control":
-            hard, hard_trace = denoise_loop(model, ex.condition, state, steps,
-                                            pinned=pins, mode="hard")
-            soft, soft_trace = denoise_loop(model, ex.condition, state, steps,
-                                            pinned=pins, mode="soft")
-            n_overflow += (len(hard_trace) < steps) + (len(soft_trace) < steps)
-            hard_outputs.append(hard.ids())
-            soft_outputs.append(soft.ids())
             pin_maps.append(pins)
-            row.update({"output_hard": hard.ids(), "output_soft": soft.ids()})
-            row.update({f"hard_{k}": v for k, v in _quality(hard.ids(), x0).items()})
+        starts.append(state)
+
+    conditions = [ex.condition for ex in examples]
+    if kind == "control":  # a hard-pinned and a free rollout per scene
+        results = denoise_loop(model, conditions * 2, starts * 2, steps,
+                               pins=pin_maps + [None] * len(starts))
+    else:
+        results = denoise_loop(model, conditions, starts, steps)
+    outputs = [final.ids() for final, _ in results]
+
+    rows = []
+    for i, (ex, start) in enumerate(zip(examples, starts)):
+        x0 = list(ex.caption)
+        ref = start.ids()
+        row = {"scene_id": ex.scene_id, "input": ref, "input_ratio": lev_ratio(ref, x0)}
+        if kind == "control":
+            hard, soft = outputs[i], outputs[len(examples) + i]
+            row.update({"output_hard": hard, "output_soft": soft})
+            row.update({f"hard_{k}": v for k, v in _quality(hard, x0).items()})
         else:
-            final, trace = denoise_loop(model, ex.condition, state, steps)
-            n_overflow += len(trace) < steps
-            row["output"] = final.ids()
-            row.update(_quality(final.ids(), x0))
+            row["output"] = outputs[i]
+            row.update(_quality(outputs[i], x0))
         rows.append(row)
 
     aggregates: dict[str, float] = {
         "input_mean_ratio": float(np.mean([r["input_ratio"] for r in rows])),
         "n_examples": len(rows),
         # rollouts stopped early because the caption outgrew max_seq_len
-        "n_overflow": n_overflow,
+        "n_overflow": sum(len(trace) < steps for _, trace in results),
     }
     if kind == "control":
-        aggregates["retention_hard"] = retention_rate(hard_outputs, pin_maps)
-        aggregates["retention_soft"] = retention_rate(soft_outputs, pin_maps)
+        aggregates["retention_hard"] = retention_rate(outputs[:len(rows)], pin_maps)
+        aggregates["retention_soft"] = retention_rate(outputs[len(rows):], pin_maps)
         for key in ("em", "f1", "ratio"):
             aggregates[f"hard_{key}"] = float(np.mean([r[f"hard_{key}"] for r in rows]))
     else:

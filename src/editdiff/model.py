@@ -31,6 +31,10 @@ CHECKPOINT_VERSION = 1
 
 NEG_INF = -1e9
 
+# KEEP and DELETE slots carry no word; decoded scripts share one tuple each,
+# which keeps the traces of many rollouts small
+_BARE_SLOTS = {int(op): (op, None) for op in (EditOp.KEEP, EditOp.DELETE)}
+
 
 class ModelError(ValueError):
     pass
@@ -132,22 +136,34 @@ class DenoiserModel:
         return ad.add(ad.mul(ad.layer_norm(x), self.params[f"{prefix}.g"]),
                       self.params[f"{prefix}.b"])
 
-    def _attention(self, x: Tensor, layer: int) -> Tensor:
+    def _attention(self, x: Tensor, layer: int, layout: _Layout | None) -> Tensor:
         p = self.params
+        pre = f"layers.{layer}.attn"
         cfg = self.cfg
-        dh = cfg.embed_dim // cfg.num_heads
-        q = ad.add(ad.matmul(x, p[f"layers.{layer}.attn.wq"]), p[f"layers.{layer}.attn.bq"])
-        k = ad.add(ad.matmul(x, p[f"layers.{layer}.attn.wk"]), p[f"layers.{layer}.attn.bk"])
-        v = ad.add(ad.matmul(x, p[f"layers.{layer}.attn.wv"]), p[f"layers.{layer}.attn.bv"])
-        heads = []
-        for h in range(cfg.num_heads):
-            cols = slice(h * dh, (h + 1) * dh)
-            qh, kh, vh = q[:, cols], k[:, cols], v[:, cols]
-            scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(dh))
-            heads.append(ad.matmul(ad.softmax(scores), vh))
-        merged = ad.concat(heads, axis=1)
-        return ad.add(ad.matmul(merged, p[f"layers.{layer}.attn.wo"]),
-                      p[f"layers.{layer}.attn.bo"])
+        heads, dh = cfg.num_heads, cfg.embed_dim // cfg.num_heads
+        if layout is None:  # one sequence: its rows are already in order
+            batch, length = 1, x.shape[0]
+        else:
+            batch, length = layout.seq.shape
+
+        def project(w: str, axes) -> Tensor:  # x W + b as [B, L, H, dh], then permuted
+            a = ad.add(ad.matmul(x, p[f"{pre}.w{w}"]), p[f"{pre}.b{w}"])
+            if layout is not None:
+                a = ad.gather(a, layout.seq)
+            return ad.transpose(ad.reshape(a, (batch, length, heads, dh)), axes)
+
+        # each intermediate is consumed as soon as it is made, so that with
+        # no tape the rollout batch holds few [N, d]-sized buffers at once
+        attn = ad.scale(ad.matmul(project("q", (0, 2, 1, 3)), project("k", (0, 2, 3, 1))),
+                        1.0 / math.sqrt(dh))
+        if layout is not None:
+            attn = ad.add(attn, Tensor(layout.key_bias))
+        attn = ad.matmul(ad.softmax(attn), project("v", (0, 2, 1, 3)))
+        attn = ad.reshape(ad.transpose(attn, (0, 2, 1, 3)), (batch * length, cfg.embed_dim))
+        if layout is not None:
+            attn = ad.gather(attn, layout.back)
+        attn = ad.matmul(attn, p[f"{pre}.wo"])
+        return ad.add(attn, p[f"{pre}.bo"])
 
     def _ffn(self, x: Tensor, layer: int) -> Tensor:
         p = self.params
@@ -156,51 +172,72 @@ class DenoiserModel:
         return ad.add(ad.matmul(h, p[f"layers.{layer}.ffn.w2"]),
                       p[f"layers.{layer}.ffn.b2"])
 
-    def forward(self, condition, caption_ids, t: int) -> tuple[Tensor, Tensor]:
-        """Return (op_logits, word_logits), each with l+1 rows (START first)."""
-        cfg = self.cfg
-        condition = list(condition)
-        caption_ids = list(caption_ids)
-        if not 1 <= t <= cfg.max_T:
-            raise ModelError(f"time step {t} outside 1..{cfg.max_T}")
-        nc, l = len(condition), len(caption_ids)
-        total = nc + 1 + l
-        if total > cfg.max_seq_len:
-            raise ModelError(f"input length {total} exceeds max_seq_len {cfg.max_seq_len}")
-
+    def _embed(self, conditions, captions, ts, cond_lens, word_lens) -> Tensor:
+        """Input rows in the packed order: all condition rows, then all
+        START + caption rows, each example's rows in sequence order."""
         # embeddings are initialized small; scaling by sqrt(d) keeps token
         # identity comparable in magnitude to the O(1) position/time tables
-        emb_gain = math.sqrt(cfg.embed_dim)
+        emb_gain = math.sqrt(self.cfg.embed_dim)
         seg = self.params["seg_emb"]
-        word_ids = np.array([START_ID] + caption_ids, dtype=np.int64)
-        time_vec = self.time_table[t][None, :]
+        word_ids = np.array([i for cap in captions for i in [START_ID] + cap], dtype=np.int64)
+        time_rows = self.time_table[np.repeat(np.asarray(ts, dtype=np.int64), word_lens)]
         # caption positions index from 0 so the layout does not shift with
         # the condition length; the segment embedding separates the streams
-        word_x = ad.add(ad.add(ad.scale(ad.gather(self.params["word_emb"], word_ids),
-                                        emb_gain),
-                               Tensor(self.pos_table[:l + 1] + time_vec)),
+        word_x = ad.add(ad.add(ad.scale(ad.gather(self.params["word_emb"], word_ids), emb_gain),
+                               Tensor(self.pos_table[_ranges(word_lens)] + time_rows)),
                         seg[1:2, :])
-        if nc:
-            cond_x = ad.add(ad.add(ad.scale(ad.gather(self.params["cond_emb"],
-                                                      np.array(condition, dtype=np.int64)),
-                                            emb_gain),
-                                   Tensor(self.pos_table[:nc])),
-                            seg[0:1, :])
-            x = ad.concat([cond_x, word_x], axis=0)
-        else:
-            x = word_x
+        if not cond_lens.sum():
+            return word_x
+        cond_ids = np.array([i for cond in conditions for i in cond], dtype=np.int64)
+        cond_x = ad.add(ad.add(ad.scale(ad.gather(self.params["cond_emb"], cond_ids), emb_gain),
+                               Tensor(self.pos_table[_ranges(cond_lens)])),
+                        seg[0:1, :])
+        return ad.concat([cond_x, word_x], axis=0)
 
+    def forward(self, condition, caption_ids, t: int) -> tuple[Tensor, Tensor]:
+        """Return (op_logits, word_logits), each with l+1 rows (START first)."""
+        return self.forward_packed([condition], [caption_ids], [t])
+
+    def forward_packed(self, conditions, captions, ts) -> tuple[Tensor, Tensor]:
+        """Run B examples through the model at once.
+
+        The rows of all examples are packed, without padding, into one
+        [N, d] matrix: every condition row, example by example, then every
+        START + caption row, example by example.  Embeddings, layer norms,
+        the feed-forward blocks and the heads run on all N rows together;
+        only attention gathers the rows into padded [B, H, L, dh] sequences
+        behind a key-padding mask.  Returns (op_logits, word_logits) of the
+        START + caption rows, l_b + 1 per example, in example order.
+        """
+        cfg = self.cfg
+        conditions = [list(c) for c in conditions]
+        captions = [list(c) for c in captions]
+        if not len(conditions) == len(captions) == len(ts) >= 1:
+            raise ModelError(f"{len(conditions)} conditions, {len(captions)} captions and "
+                             f"{len(ts)} time steps; need the same positive number of each")
+        for cond, cap, t in zip(conditions, captions, ts):
+            if not 1 <= t <= cfg.max_T:
+                raise ModelError(f"time step {t} outside 1..{cfg.max_T}")
+            total = len(cond) + 1 + len(cap)
+            if total > cfg.max_seq_len:
+                raise ModelError(f"input length {total} exceeds max_seq_len {cfg.max_seq_len}")
+        cond_lens = np.array([len(c) for c in conditions], dtype=np.int64)
+        word_lens = np.array([len(c) + 1 for c in captions], dtype=np.int64)
+
+        x = self._embed(conditions, captions, ts, cond_lens, word_lens)
+        layout = None if len(captions) == 1 else _Layout(cond_lens, word_lens)
         for i in range(cfg.num_layers):
-            x = ad.add(x, self._attention(self._ln(x, f"layers.{i}.ln1"), i))
+            x = ad.add(x, self._attention(self._ln(x, f"layers.{i}.ln1"), i, layout))
             x = ad.add(x, self._ffn(self._ln(x, f"layers.{i}.ln2"), i))
         x = self._ln(x, "ln_f")
 
-        rows = x[nc:, :]
+        rows = x[int(cond_lens.sum()):, :]
         op_logits = ad.add(ad.matmul(rows, self.params["edit_head.w"]),
                            self.params["edit_head.b"])
-        sentinel_mask = np.zeros((l + 1, 4))
-        sentinel_mask[0, int(EditOp.REPLACE)] = NEG_INF
-        sentinel_mask[0, int(EditOp.DELETE)] = NEG_INF
+        sentinel_mask = np.zeros((rows.shape[0], 4))
+        starts = np.cumsum(word_lens) - word_lens
+        sentinel_mask[starts, int(EditOp.REPLACE)] = NEG_INF
+        sentinel_mask[starts, int(EditOp.DELETE)] = NEG_INF
         op_logits = ad.add(op_logits, Tensor(sentinel_mask))
         word_logits = ad.add(ad.matmul(rows, self.params["lang_head.w"]),
                              self.params["lang_head.b"])
@@ -211,25 +248,59 @@ class DenoiserModel:
         word_logits = ad.add(word_logits, Tensor(special_mask))
         return op_logits, word_logits
 
-    def predict_script(self, condition, c: CaptionState, t: int) -> EditScript | None:
-        """Greedy argmax decoding of both heads into a well-formed script.
+    def predict_script(self, conditions, captions, t: int) -> list[EditScript | None]:
+        """Greedy argmax decoding of both heads into one well-formed script
+        per caption, all captions at step ``t`` in one tape-free forward.
 
-        Returns None when the caption has outgrown ``max_seq_len``, which
-        ends the rollout (see ``denoise_loop``).
+        A caption that has outgrown ``max_seq_len`` with its condition gets
+        None, which ends its rollout (see ``denoise_loop``).
         """
-        if len(condition) + 1 + len(c) > self.cfg.max_seq_len:
-            return None
-        op_logits, word_logits = self.forward(condition, c.ids(), t)
-        ops = np.argmax(op_logits.data, axis=1)
-        words = np.argmax(word_logits.data, axis=1)
-        slots = []
-        for row in range(len(ops)):
-            op = EditOp(int(ops[row]))
-            if op in (EditOp.INSERT, EditOp.REPLACE):
-                slots.append((op, int(words[row])))
-            else:
-                slots.append((op, None))
-        return EditScript(tuple(slots))
+        scripts: list[EditScript | None] = [None] * len(captions)
+        rows = [i for i, (cond, c) in enumerate(zip(conditions, captions))
+                if len(cond) + 1 + len(c) <= self.cfg.max_seq_len]
+        if not rows:
+            return scripts
+        with ad.no_grad():
+            op_logits, word_logits = self.forward_packed(
+                [conditions[i] for i in rows], [captions[i].ids() for i in rows], [t] * len(rows))
+        ops = np.argmax(op_logits.data, axis=1).tolist()
+        words = np.argmax(word_logits.data, axis=1).tolist()
+        start = 0
+        for i in rows:
+            end = start + len(captions[i]) + 1
+            scripts[i] = EditScript(tuple(
+                (EditOp(op), word) if op in (EditOp.INSERT, EditOp.REPLACE) else _BARE_SLOTS[op]
+                for op, word in zip(ops[start:end], words[start:end])))
+            start = end
+        return scripts
+
+
+def _ranges(lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(n)`` for each n in ``lengths``."""
+    return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+class _Layout:
+    """Where each example's rows sit in the packed [N, d] matrix.
+
+    ``seq[b, j]`` is the packed row of position j of example b (condition,
+    then START + caption), padded with row 0; ``key_bias`` masks the padded
+    keys; ``back[n]`` is the flat [B * L] position of packed row n.
+    """
+
+    def __init__(self, cond_lens: np.ndarray, word_lens: np.ndarray):
+        seq_lens = cond_lens + word_lens
+        length = int(seq_lens.max())
+        pos = np.arange(length)[None, :]
+        cond_start = (np.cumsum(cond_lens) - cond_lens)[:, None]
+        word_start = (int(cond_lens.sum()) + np.cumsum(word_lens) - word_lens)[:, None]
+        in_cond = pos < cond_lens[:, None]
+        valid = pos < seq_lens[:, None]
+        seq = np.where(in_cond, cond_start + pos, word_start + pos - cond_lens[:, None])
+        self.seq = np.where(valid, seq, 0)
+        self.key_bias = np.where(valid, 0.0, NEG_INF)[:, None, None, :]
+        self.back = np.empty(int(seq_lens.sum()), dtype=np.int64)
+        self.back[self.seq[valid]] = np.flatnonzero(valid)
 
 
 def script_targets(gt: EditScript) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -279,11 +350,9 @@ def holdout_exact_match(model: DenoiserModel, examples, sch: NoiseSchedule,
     subset = examples if cap is None else examples[:cap]
     if not subset:
         return 0.0
-    hits = 0
-    for ex in subset:
-        start = make_random_sequence(sch.target_len, vocab, rng, step=sch.T)
-        final, _ = denoise_loop(model, ex.condition, start, sch.T)
-        hits += int(tuple(final.ids()) == tuple(ex.caption))
+    starts = [make_random_sequence(sch.target_len, vocab, rng, step=sch.T) for _ in subset]
+    results = denoise_loop(model, [ex.condition for ex in subset], starts, sch.T)
+    hits = sum(final.ids() == list(ex.caption) for ex, (final, _) in zip(subset, results))
     return hits / len(subset)
 
 

@@ -169,3 +169,71 @@ def test_zero_grads():
     assert p.grad is not None
     zero_grads([p])
     assert p.grad is None
+
+
+def test_batched_matmul_transpose_reshape_gather_gradients():
+    # the attention path of the packed forward: gather rows into padded
+    # sequences, split heads, batched products, merge and gather back
+    rng = np.random.default_rng(6)
+    x = leaf(rng.normal(size=(5, 4)))
+    w = leaf(rng.normal(size=(4, 4)))
+    seq = np.array([[0, 1, 2], [3, 4, 0]])
+    back = np.array([0, 1, 2, 3, 4])
+    weights = Tensor(rng.normal(size=(5, 4)))
+
+    def f():
+        h = ad.gather(ad.matmul(x, w), seq)  # [2, 3, 4]
+        heads = ad.transpose(ad.reshape(h, (2, 3, 2, 2)), (0, 2, 1, 3))  # [2, 2, 3, 2]
+        scores = ad.softmax(ad.matmul(heads, ad.transpose(heads, (0, 1, 3, 2))))
+        mixed = ad.matmul(scores, heads)
+        merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (6, 4))
+        out = ad.gather(merged, back)
+        return ad.sum_all(ad.mul(out, weights))
+
+    assert grad_check(f, [x, w], eps=1e-5) < 1e-6
+
+
+def test_batched_matmul_broadcasts_and_checks_shapes():
+    a = leaf(np.ones((2, 3, 4)))
+    b = leaf(np.arange(20, dtype=float).reshape(4, 5))
+    out = ad.matmul(a, b)
+    assert out.shape == (2, 3, 5)
+    backward(ad.sum_all(out))
+    assert b.grad.shape == (4, 5)
+    assert np.array_equal(b.grad, np.full((4, 5), 6.0))
+    with pytest.raises(ShapeError):
+        ad.matmul(leaf(np.ones((2, 3, 4))), leaf(np.ones((3, 4, 5))))
+    with pytest.raises(ShapeError):
+        ad.matmul(leaf(np.ones(3)), leaf(np.ones((3, 2))))
+
+
+def test_gather_nd_ids_route_gradients():
+    table = leaf(np.arange(6, dtype=float).reshape(3, 2))
+    ids = np.array([[2, 0], [2, 2]])
+    out = ad.gather(table, ids)
+    assert out.shape == (2, 2, 2)
+    assert np.array_equal(out.data[1, 0], [4.0, 5.0])
+    backward(ad.sum_all(out))
+    assert np.array_equal(table.grad[:, 0], [1.0, 0.0, 3.0])
+
+
+def test_no_grad_builds_no_tape():
+    a = leaf([1.0, 2.0])
+    with ad.no_grad():
+        y = ad.sum_all(ad.mul(ad.add(a, a), a))
+        assert not y.requires_grad
+        assert y._parents == () and y._backward is None
+        assert float(y.data) == 10.0
+    z = ad.mul(a, a)
+    assert z.requires_grad and z._parents == (a, a)
+
+
+def test_no_grad_is_restored_after_an_exception():
+    a = leaf([1.0])
+    with pytest.raises(ShapeError):
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not ad.add(a, a).requires_grad
+            ad.matmul(a, a)
+    assert ad.add(a, a).requires_grad

@@ -215,6 +215,17 @@ def test_eval_bad_mode_is_usage_error(trained, tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags", [["--mode", "ood:1.5"], ["--mode", "ood:nan"],
+                                   ["--mode", "random:10", "--limit", "-1"]])
+def test_eval_bad_ratio_or_limit_is_usage_error(trained, tmp_path, capsys, flags):
+    corpus_dir, ckpt = trained
+    code = main(["eval", "--ckpt", str(ckpt), "--corpus", str(corpus_dir), *flags,
+                 "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_corrupt_checkpoint_is_format_error(trained, tmp_path, capsys):
     corpus_dir, _ = trained
     bad = tmp_path / "bad.ckpt"

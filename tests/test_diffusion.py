@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from editdiff.diffusion import (
+    ROLLOUTS_PER_FORWARD,
     denoise_loop,
     make_random_sequence,
     noise_trajectory,
@@ -15,6 +16,7 @@ from editdiff.edit_ops import (
     EditScript,
     NoiseSchedule,
     Origin,
+    all_keep_script,
 )
 from editdiff.vocab import build_vocab
 
@@ -119,8 +121,8 @@ def test_make_random_sequence():
 
 
 class AllKeepModel:
-    def predict_script(self, condition, c, t):
-        return EditScript(tuple((EditOp.KEEP, None) for _ in range(len(c) + 1)))
+    def predict_script(self, conditions, captions, t):
+        return [all_keep_script(len(c)) for c in captions]
 
 
 class ScriptedModel:
@@ -130,16 +132,29 @@ class ScriptedModel:
         self.first = first
         self.calls = 0
 
-    def predict_script(self, condition, c, t):
+    def predict_script(self, conditions, captions, t):
         self.calls += 1
-        if self.calls == 1:
-            return self.first
-        return EditScript(tuple((EditOp.KEEP, None) for _ in range(len(c) + 1)))
+        return [self.first if self.calls == 1 else all_keep_script(len(c)) for c in captions]
+
+
+class GrowingModel:
+    """Inserts a word per step and, like a model whose input holds at most
+    four caption words, returns None for a longer caption.  Records the size
+    of every batch it is handed."""
+
+    def __init__(self):
+        self.batches = []
+
+    def predict_script(self, conditions, captions, t):
+        self.batches.append(len(captions))
+        return [None if len(c) > 4 else
+                EditScript(((EditOp.INSERT, 9),) + ((EditOp.KEEP, None),) * len(c))
+                for c in captions]
 
 
 def test_denoise_identity_model():
     c = CaptionState.from_ids([5, 6, 7], step=10)
-    out, trace = denoise_loop(AllKeepModel(), [], c, 10)
+    [(out, trace)] = denoise_loop(AllKeepModel(), [[]], [c], 10)
     assert out.ids() == [5, 6, 7]
     assert len(trace) == 10
     assert [s.t for s in trace] == list(range(10, 0, -1))
@@ -147,30 +162,38 @@ def test_denoise_identity_model():
 
 
 def test_denoise_stops_when_model_cannot_read_caption():
-    class GrowingModel:
-        """Inserts a word per step and, like a model whose input holds at
-        most four caption words, returns None once the caption is longer."""
-
-        def predict_script(self, condition, c, t):
-            if len(c) > 4:
-                return None
-            return EditScript(((EditOp.INSERT, 9),) + ((EditOp.KEEP, None),) * len(c))
-
     c = CaptionState.from_ids([5, 6, 7], step=10)
-    out, trace = denoise_loop(GrowingModel(), [], c, 10)
+    [(out, trace)] = denoise_loop(GrowingModel(), [[]], [c], 10)
     assert [s.t for s in trace] == [10, 9]
     assert out == trace[-1].after
     assert out.ids() == [9, 9, 5, 6, 7]
 
 
+def test_denoise_batches_rollouts_and_drops_overflowed_ones():
+    # 11 rollouts of lengths 0..4 words; each grows a word per step and stops
+    # once longer than 4, so rows drop out at different steps
+    starts = [CaptionState.from_ids([5] * (i % 5), step=6) for i in range(11)]
+    model = GrowingModel()
+    batch = denoise_loop(model, [[i] for i in range(11)], starts, 6)
+    alone = [denoise_loop(GrowingModel(), [[i]], [c], 6)[0] for i, c in enumerate(starts)]
+    assert batch == alone
+    assert [len(trace) for _, trace in batch] == [5 - i % 5 for i in range(11)]
+    assert max(model.batches) == ROLLOUTS_PER_FORWARD
+    # a step hands over only the rollouts still live: 11, 11, 9, 7, 5, 3 of them
+    assert model.batches == [8, 3, 8, 3, 8, 1, 7, 5, 3]
+
+
 def test_denoise_validates_arguments():
     c = CaptionState.from_ids([5], step=1)
     with pytest.raises(EditError):
-        denoise_loop(AllKeepModel(), [], c, 0)
+        denoise_loop(AllKeepModel(), [[]], [c], 0)
     with pytest.raises(EditError):
-        denoise_loop(AllKeepModel(), [], c, 1, mode="medium")
+        denoise_loop(AllKeepModel(), [[], []], [c], 1)
     with pytest.raises(EditError):
-        denoise_loop(AllKeepModel(), [], c, 1, pinned={3: 5}, mode="hard")
+        denoise_loop(AllKeepModel(), [[]], [c], 1, pins=[{0: 5}, None])
+    with pytest.raises(EditError):
+        denoise_loop(AllKeepModel(), [[]], [c], 1, pins=[{3: 5}])
+    assert denoise_loop(AllKeepModel(), [], [], 3) == []
 
 
 def test_denoise_hard_mode_overrides_to_keep():
@@ -179,7 +202,7 @@ def test_denoise_hard_mode_overrides_to_keep():
                         (EditOp.REPLACE, 21), (EditOp.REPLACE, 22)))
     model = ScriptedModel(first)
     c = CaptionState.from_ids([5, 6, 7], step=3)
-    out, trace = denoise_loop(model, [], c, 3, pinned={1: 6}, mode="hard")
+    [(out, trace)] = denoise_loop(model, [[]], [c], 3, pins=[{1: 6}])
     assert out.ids()[1] == 6
     applied = trace[0].script
     assert applied.slots[2] == (EditOp.KEEP, None)
@@ -190,22 +213,25 @@ def test_denoise_hard_mode_remaps_pins_across_inserts():
     first = EditScript(((EditOp.INSERT, 30), (EditOp.KEEP, None), (EditOp.KEEP, None)))
     model = ScriptedModel(first)
     c = CaptionState.from_ids([5, 6], step=2)
-    out, _ = denoise_loop(model, [], c, 2, pinned={0: 5, 1: 6}, mode="hard")
+    [(out, _)] = denoise_loop(model, [[]], [c], 2, pins=[{0: 5, 1: 6}])
     assert out.ids() == [30, 5, 6]
 
 
 def test_soft_mode_ignores_pins():
+    # a free rollout next to a pinned one in the same batch: the pins hold
+    # only in the pinned row
     first = EditScript(((EditOp.KEEP, None), (EditOp.REPLACE, 20), (EditOp.KEEP, None)))
     model = ScriptedModel(first)
     c = CaptionState.from_ids([5, 6], step=2)
-    out, _ = denoise_loop(model, [], c, 2, pinned={0: 5}, mode="soft")
-    assert out.ids() == [20, 6]
+    (hard, _), (soft, _) = denoise_loop(model, [[], []], [c, c], 2, pins=[{0: 5}, None])
+    assert hard.ids() == [5, 6]
+    assert soft.ids() == [20, 6]
 
 
 def test_trace_serialization_rows():
     c = CaptionState.from_ids([5, 6], step=1)
     first = EditScript(((EditOp.KEEP, None), (EditOp.REPLACE, 7), (EditOp.KEEP, None)))
-    out, trace = denoise_loop(ScriptedModel(first), [], c, 1)
+    [(out, trace)] = denoise_loop(ScriptedModel(first), [[]], [c], 1)
     rows = trace_to_jsonl_rows(trace, VOCAB)
     assert len(rows) == 1
     row = rows[0]

@@ -72,6 +72,39 @@ def test_bleu_monotone_in_overlap():
     assert better > worse
 
 
+def test_bleu_clips_by_the_best_reference_and_matches_recounting():
+    # the bigram (1, 1) occurs twice in the second reference only
+    assert bleu([1, 1, 1], [[1, 2, 3], [1, 1, 1]]) == pytest.approx(1.0)
+
+    def recounting(hyp, refs, max_n=4):
+        # counts every reference's n-grams again for every hypothesis n-gram
+        from collections import Counter
+        from math import exp, log
+
+        def grams(seq, n):
+            return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
+
+        max_n = min(max_n, len(hyp))
+        log_sum = 0.0
+        for n in range(1, max_n + 1):
+            counts = grams(hyp, n)
+            clipped = sum(min(c, max(grams(r, n).get(g, 0) for r in refs))
+                          for g, c in counts.items())
+            p = clipped / sum(counts.values()) if clipped > 0 else 1e-9
+            log_sum += log(p) / max_n
+        c = len(hyp)
+        r = min((abs(len(ref) - c), len(ref)) for ref in refs)[1]
+        return (1.0 if c > r else exp(1 - r / c)) * exp(log_sum)
+
+    rng = np.random.default_rng(2)
+    for _ in range(300):
+        hyp = rng.integers(0, 4, rng.integers(1, 9)).tolist()
+        refs = [rng.integers(0, 4, rng.integers(1, 9)).tolist()
+                for _ in range(rng.integers(1, 3))]
+        for n in range(1, 5):
+            assert bleu(hyp, refs, n) == recounting(hyp, refs, n)
+
+
 def test_contains_in_order():
     assert contains_in_order([1, 5, 2, 7], [5, 7])
     assert not contains_in_order([7, 5], [5, 7])
@@ -90,7 +123,10 @@ def test_parse_mode():
     assert parse_mode("ood:0.3") == ("ood", 0.3)
     assert parse_mode("random:8") == ("random", 8)
     assert parse_mode("control") == ("control", None)
-    for mode in ("weird", "ood_ratio:0.9", "random_ref:12"):
+    assert parse_mode("ood:0") == ("ood", 0.0)
+    assert parse_mode("ood:1") == ("ood", 1.0)
+    for mode in ("weird", "ood_ratio:0.9", "random_ref:12", "ood:1.5", "ood:-0.1",
+                 "ood:nan", "ood:inf"):
         with pytest.raises(MetricError):
             parse_mode(mode)
 
@@ -111,9 +147,9 @@ class OracleModel:
                         for split in ("train", "val", "test")
                         for ex in corpus.split(split)}
 
-    def predict_script(self, condition, c, t):
+    def predict_script(self, conditions, captions, t):
         from editdiff.align import align
-        return align(c, self.by_cond[tuple(condition)])
+        return [align(c, self.by_cond[tuple(cond)]) for cond, c in zip(conditions, captions)]
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +219,13 @@ def test_evaluate_limit_and_empty_split(small_corpus):
     assert report["aggregates"]["n_examples"] == 2
     with pytest.raises(MetricError):
         evaluate(model, small_corpus, "random:10", steps=3, seed=0, limit=0)
+
+
+def test_evaluate_rejects_negative_limit(small_corpus):
+    # a negative limit would slice off scenes from the end instead
+    with pytest.raises(MetricError, match="limit"):
+        evaluate(OracleModel(small_corpus), small_corpus, "random:10", steps=3, seed=0,
+                 limit=-1)
 
 
 def test_write_report_json_and_csv(tmp_path, small_corpus):

@@ -1,11 +1,14 @@
 import hashlib
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from editdiff import autodiff as ad
+from editdiff import diffusion
 from editdiff.autodiff import backward, grad_check
+from editdiff.diffusion import ROLLOUTS_PER_FORWARD, denoise_loop, make_random_sequence
 from editdiff.edit_ops import CaptionState, EditOp, EditScript, NoiseSchedule
 from editdiff.model import (
     CheckpointError,
@@ -85,7 +88,7 @@ def test_predict_script_well_formed_random_models():
                           num_layers=1, num_heads=1, ffn_dim=16,
                           max_seq_len=16, seed=seed)
         m = DenoiserModel(cfg)
-        s = m.predict_script([0, 1], CaptionState.from_ids([5, 6, 7]), t=5)
+        [s] = m.predict_script([[0, 1]], [CaptionState.from_ids([5, 6, 7])], t=5)
         assert len(s) == 4
         assert s.slots[0][0] in (K, I)
         for op, w in s.slots:
@@ -243,3 +246,111 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_packed_forward_matches_single_forward():
+    # a ragged batch on the trained checkpoint: condition lengths 0, 3 and 9,
+    # caption lengths 1..12, mixed time steps
+    model, _ = load_checkpoint(PINNED)
+    rng = np.random.default_rng(4)
+    conditions, captions, ts = [], [], []
+    for b in range(12):
+        conditions.append(rng.integers(0, model.cfg.cond_vocab_size, (0, 3, 9)[b % 3]).tolist())
+        captions.append(rng.integers(4, model.cfg.vocab_size, b + 1).tolist())
+        ts.append(int(rng.integers(1, model.cfg.max_T + 1)))
+    op_logits, word_logits = model.forward_packed(conditions, captions, ts)
+    assert op_logits.shape == (sum(len(c) + 1 for c in captions), 4)
+    start = 0
+    for cond, cap, t in zip(conditions, captions, ts):
+        rows = slice(start, start + len(cap) + 1)
+        start = rows.stop
+        for packed, single in zip((op_logits, word_logits), model.forward(cond, cap, t)):
+            assert np.abs(packed.data[rows] - single.data).max() < 1e-12
+            assert np.array_equal(packed.data[rows].argmax(axis=1), single.data.argmax(axis=1))
+
+
+def test_packed_forward_gradient_check():
+    m = DenoiserModel(ModelConfig(vocab_size=12, cond_vocab_size=9, embed_dim=8,
+                                  num_layers=1, num_heads=2, ffn_dim=16, max_seq_len=16,
+                                  seed=2))
+    conditions = [[0, 1, 2], [], [3]]
+    captions = [[5, 6, 7], [8], [4, 9]]
+    gts = [EditScript(((K, None), (R, 7), (I, 4), (D, None))),
+           EditScript(((I, 5), (R, 6))),
+           EditScript(((K, None), (K, None), (D, None)))]
+
+    def f():
+        op_logits, word_logits = m.forward_packed(conditions, captions, [3, 1, 7])
+        total, start = None, 0
+        for gt in gts:
+            rows = slice(start, start + len(gt))
+            start = rows.stop
+            loss, _, _ = model_loss(op_logits[rows], word_logits[rows], gt)
+            total = loss if total is None else ad.add(total, loss)
+        return total
+
+    err = grad_check(f, m.param_list(), eps=1e-3, order=4)
+    assert err < 1e-4
+
+
+def test_packed_forward_validates_batch():
+    m = tiny_model()
+    with pytest.raises(ModelError):
+        m.forward_packed([[0]], [[5], [6]], [1, 1])
+    with pytest.raises(ModelError):
+        m.forward_packed([], [], [])
+    with pytest.raises(ModelError):
+        m.forward_packed([[0], [0]], [[5], [6] * 15], [1, 1])
+
+
+def test_predict_script_is_tape_free_and_skips_overlong_captions():
+    m = tiny_model()
+    fits = CaptionState.from_ids([5] * 5)
+    too_long = CaptionState.from_ids([5] * 15)  # 1 + 1 + 15 > max_seq_len 16
+    a, b, c = m.predict_script([[0], [0], []], [fits, too_long, fits], t=2)
+    assert b is None
+    assert a is not None and len(a) == 6 and c is not None
+    ad_tensors = []
+    real = ad.Tensor.__init__
+
+    def spy(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        ad_tensors.append(self)
+
+    ad.Tensor.__init__ = spy
+    try:
+        m.predict_script([[0]], [fits], t=2)
+    finally:
+        ad.Tensor.__init__ = real
+    assert ad_tensors and all(not t._parents and t._backward is None for t in ad_tensors)
+    assert all(p.requires_grad for p in m.param_list())
+
+
+def test_batched_rollouts_match_single_rollouts():
+    # an untrained model with room for few caption words: some rollouts
+    # outgrow max_seq_len mid-batch; hard-pinned rows sit next to free ones
+    corpus = make_corpus(WorldSpec(), 30, seed=11)
+    cfg = ModelConfig(vocab_size=corpus.vocab.size, cond_vocab_size=corpus.spec.cond_vocab_size,
+                      embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32, max_seq_len=22,
+                      seed=3)
+    model = DenoiserModel(cfg)
+    rng = np.random.default_rng(0)
+    examples = (corpus.train * 2)[:2 * ROLLOUTS_PER_FORWARD + 3]
+    conditions = [ex.condition for ex in examples]
+    starts = [make_random_sequence(10, corpus.vocab, rng, step=10) for _ in examples]
+    pins = [{2: starts[i].ids()[2], 6: starts[i].ids()[6]} if i % 3 == 0 else None
+            for i in range(len(examples))]
+    for steps in (10, 1):
+        batch = denoise_loop(model, conditions, starts, steps, pins=pins)
+        alone = [denoise_loop(model, [cond], [start], steps, pins=[p])[0]
+                 for cond, start, p in zip(conditions, starts, pins)]
+        assert batch == alone
+    overflowed = [len(trace) < 10 for _, trace in denoise_loop(model, conditions, starts, 10)]
+    assert any(overflowed) and not all(overflowed)
+
+
+def test_tracer_can_find_the_rollout_entry_points():
+    # the benchmark wraps these by name, looked up in the class dict
+    assert "forward" in vars(DenoiserModel)
+    assert "predict_script" in vars(DenoiserModel)
+    assert inspect.isfunction(diffusion.denoise_loop)
