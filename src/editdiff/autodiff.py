@@ -1,10 +1,13 @@
 """Small reverse-mode autodiff over float64 numpy buffers, plus Adam.
 
-A dynamic tape is rebuilt on every forward pass; backward walks the tape in
-a fixed topological order, so single-threaded runs are bit-reproducible.
-Inside ``no_grad()`` no tape is built at all.  Only the primitives the
-denoiser needs are implemented; shapes are checked eagerly and errors name
-the offending op.
+A dynamic tape is rebuilt on every forward pass.  Backward consumes it in a
+fixed topological order, so single-threaded runs are bit-reproducible: each
+node drops its parents and its backward closure as soon as it has passed its
+gradient on, so the graph is freed while backward runs and a graph can be
+differentiated only once.  Tensors the caller still holds keep their
+``.grad``.  Inside ``no_grad()`` no tape is built at all.  Only the
+primitives the denoiser needs are implemented; shapes are checked eagerly
+and errors name the offending op.
 """
 
 from __future__ import annotations
@@ -221,6 +224,35 @@ def gather(table, ids) -> Tensor:
     return Tensor(table.data[ids], parents=(table,), backward=bwd)
 
 
+def scatter_rows(a, ids, n: int) -> Tensor:
+    """An ``[n, ...]`` tensor whose row ``ids[i]`` is row i of ``a`` and whose
+    other rows are zero.  ``ids`` must be distinct.  ``take_rows`` with the
+    same ids undoes it, and each one's backward is the other's forward."""
+    a = as_tensor(a)
+    ids = np.asarray(ids, dtype=np.int64)
+    out = np.zeros((n,) + a.data.shape[1:])
+    out[ids] = a.data
+
+    def bwd(g, a=a, ids=ids):
+        a._accum(g[ids])
+
+    return Tensor(out, parents=(a,), backward=bwd)
+
+
+def take_rows(a, ids) -> Tensor:
+    """Rows ``ids`` of ``a``, which must be distinct: a gather whose backward
+    writes each row's gradient back once instead of adding it."""
+    a = as_tensor(a)
+    ids = np.asarray(ids, dtype=np.int64)
+
+    def bwd(g, a=a, ids=ids):
+        buf = np.zeros_like(a.data)
+        buf[ids] = g
+        a._accum(buf)
+
+    return Tensor(a.data[ids], parents=(a,), backward=bwd)
+
+
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -246,11 +278,14 @@ def sum_all(a) -> Tensor:
     return Tensor(a.data.sum(), parents=(a,), backward=bwd)
 
 
-def cross_entropy(logits, targets, mask=None) -> Tensor:
+def cross_entropy(logits, targets, mask=None, example=None) -> Tensor:
     """Mean cross-entropy over rows, optionally restricted by a boolean mask.
 
-    Masked-out rows contribute nothing to the value and receive exactly zero
-    gradient.  An all-false mask yields a constant 0.
+    ``example`` gives each row's example index in a packed batch; the result
+    is then the sum over examples of each example's masked mean, and an
+    example with no unmasked rows contributes nothing.  Without it all rows
+    form one example.  Masked-out rows contribute nothing to the value and
+    receive exactly zero gradient.  An all-false mask yields a constant 0.
     """
     logits = as_tensor(logits)
     if logits.data.ndim != 2:
@@ -259,31 +294,44 @@ def cross_entropy(logits, targets, mask=None) -> Tensor:
     rows = logits.data.shape[0]
     if targets.shape != (rows,):
         raise ShapeError(f"cross_entropy: {rows} logit rows vs targets {targets.shape}")
-    if mask is None:
-        mask = np.ones(rows, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-    count = int(mask.sum())
-    if count == 0:
+    mask = np.ones(rows, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    example = np.zeros(rows, dtype=np.int64) if example is None else np.asarray(example, np.int64)
+    if example.shape != (rows,):
+        raise ShapeError(f"cross_entropy: {rows} logit rows vs example ids {example.shape}")
+    counts = np.bincount(example, weights=mask)
+    if not counts.any():
         return Tensor(0.0)
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1)) + logits.data.max(axis=-1)
     picked = logits.data[np.arange(rows), targets]
     losses = (lse - picked) * mask
-    value = losses.sum() / count
+    # each example's rows are summed on their own, so one example gives
+    # exactly the plain masked mean
+    value = sum(losses[example == b].sum() / count for b, count in enumerate(counts) if count)
+    weights = mask / np.maximum(counts, 1.0)[example]
 
-    def bwd(g, logits=logits, targets=targets, mask=mask, count=count):
+    def bwd(g, logits=logits, targets=targets, weights=weights):
         p = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
         p /= p.sum(axis=-1, keepdims=True)
         p[np.arange(len(targets)), targets] -= 1.0
-        p *= mask[:, None] / count
+        p *= weights[:, None]
         logits._accum(p * float(g))
 
     return Tensor(value, parents=(logits,), backward=bwd)
 
 
+# stands in for the backward closure of a node that backward has consumed
+_CONSUMED = object()
+
+
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every parameter reachable from a scalar loss."""
+    """Populate .grad on every parameter reachable from a scalar loss.
+
+    The graph is consumed on the way: after a node has passed its gradient
+    to its parents it lets go of them and of its backward closure, so each
+    intermediate buffer is freed once nothing else holds it.  A second
+    backward through the same graph raises ``ValueError``.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     order: list[Tensor] = []
@@ -296,14 +344,19 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen or not node.requires_grad:
             continue
+        if node._backward is _CONSUMED:
+            raise ValueError("backward: the graph was already consumed by an earlier backward")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
             stack.append((parent, False))
     loss._accum(np.ones_like(loss.data))
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    while order:
+        node = order.pop()
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            node._parents, node._backward = (), _CONSUMED
 
 
 def zero_grads(params) -> None:
@@ -348,7 +401,11 @@ def grad_check(f, params, eps: float = 1e-5, order: int = 2) -> float:
 
 
 class Adam:
-    """Standard Adam with bias correction; grads are cleared after a step."""
+    """Standard Adam with bias correction; grads are cleared after a step.
+
+    The update runs in place, through one scratch pair sized to the largest
+    parameter block.
+    """
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -360,6 +417,7 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = np.empty((2, max((p.data.size for p in self.params), default=0)))
 
     def step(self, lr: float | None = None) -> None:
         if any(p.grad is None for p in self.params):
@@ -369,9 +427,20 @@ class Adam:
         bc1 = 1 - self.beta1 ** self.step_count
         bc2 = 1 - self.beta2 ** self.step_count
         for p, m, v in zip(self.params, self.m, self.v):
+            # the operations and their order are those of
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
+            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+            s, r = (buf[:p.data.size].reshape(p.data.shape) for buf in self._scratch)
             m *= self.beta1
-            m += (1 - self.beta1) * p.grad
+            m += np.multiply(p.grad, 1 - self.beta1, out=s)
             v *= self.beta2
-            v += (1 - self.beta2) * p.grad ** 2
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.square(p.grad, out=s)
+            v += np.multiply(s, 1 - self.beta2, out=s)
+            np.divide(m, bc1, out=s)
+            s *= lr
+            np.divide(v, bc2, out=r)
+            np.sqrt(r, out=r)
+            r += self.eps
+            s /= r
+            p.data -= s
         zero_grads(self.params)

@@ -144,12 +144,12 @@ class DenoiserModel:
         if layout is None:  # one sequence: its rows are already in order
             batch, length = 1, x.shape[0]
         else:
-            batch, length = layout.seq.shape
+            batch, length = layout.shape
 
         def project(w: str, axes) -> Tensor:  # x W + b as [B, L, H, dh], then permuted
             a = ad.add(ad.matmul(x, p[f"{pre}.w{w}"]), p[f"{pre}.b{w}"])
             if layout is not None:
-                a = ad.gather(a, layout.seq)
+                a = ad.scatter_rows(a, layout.back, batch * length)
             return ad.transpose(ad.reshape(a, (batch, length, heads, dh)), axes)
 
         # each intermediate is consumed as soon as it is made, so that with
@@ -161,7 +161,7 @@ class DenoiserModel:
         attn = ad.matmul(ad.softmax(attn), project("v", (0, 2, 1, 3)))
         attn = ad.reshape(ad.transpose(attn, (0, 2, 1, 3)), (batch * length, cfg.embed_dim))
         if layout is not None:
-            attn = ad.gather(attn, layout.back)
+            attn = ad.take_rows(attn, layout.back)
         attn = ad.matmul(attn, p[f"{pre}.wo"])
         return ad.add(attn, p[f"{pre}.bo"])
 
@@ -283,24 +283,25 @@ def _ranges(lengths: np.ndarray) -> np.ndarray:
 class _Layout:
     """Where each example's rows sit in the packed [N, d] matrix.
 
-    ``seq[b, j]`` is the packed row of position j of example b (condition,
-    then START + caption), padded with row 0; ``key_bias`` masks the padded
-    keys; ``back[n]`` is the flat [B * L] position of packed row n.
+    The padded sequences have ``shape`` [B, L]; ``back[n]`` is the flat
+    [B * L] position of packed row n (condition, then START + caption, per
+    example) and ``key_bias`` masks the padded keys.  Padded positions hold
+    zeros and get exactly zero gradient: masked keys have softmax weight
+    0.0 and padded queries are never taken back.
     """
 
     def __init__(self, cond_lens: np.ndarray, word_lens: np.ndarray):
         seq_lens = cond_lens + word_lens
-        length = int(seq_lens.max())
-        pos = np.arange(length)[None, :]
+        self.shape = (len(seq_lens), int(seq_lens.max()))
+        pos = np.arange(self.shape[1])[None, :]
         cond_start = (np.cumsum(cond_lens) - cond_lens)[:, None]
         word_start = (int(cond_lens.sum()) + np.cumsum(word_lens) - word_lens)[:, None]
         in_cond = pos < cond_lens[:, None]
         valid = pos < seq_lens[:, None]
         seq = np.where(in_cond, cond_start + pos, word_start + pos - cond_lens[:, None])
-        self.seq = np.where(valid, seq, 0)
         self.key_bias = np.where(valid, 0.0, NEG_INF)[:, None, None, :]
         self.back = np.empty(int(seq_lens.sum()), dtype=np.int64)
-        self.back[self.seq[valid]] = np.flatnonzero(valid)
+        self.back[seq[valid]] = np.flatnonzero(valid)
 
 
 def script_targets(gt: EditScript) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -310,16 +311,29 @@ def script_targets(gt: EditScript) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ops, words, content_mask
 
 
-def model_loss(op_logits: Tensor, word_logits: Tensor, gt: EditScript
+def model_loss(op_logits: Tensor, word_logits: Tensor, scripts
                ) -> tuple[Tensor, float, float]:
     """Edit-op cross-entropy over all rows plus content cross-entropy over
-    INSERT/REPLACE rows only.  Returns (loss tensor, edit value, language value)."""
-    if op_logits.shape[0] != len(gt):
-        raise ModelError(f"{op_logits.shape[0]} logit rows vs script length {len(gt)}")
-    ops, words, content_mask = script_targets(gt)
-    l_edit = ad.cross_entropy(op_logits, ops)
-    l_lang = ad.cross_entropy(word_logits, words, content_mask)
-    return ad.add(l_edit, l_lang), float(l_edit.data), float(l_lang.data)
+    INSERT/REPLACE rows only, each averaged per example.
+
+    ``scripts`` holds the target script of each example of a packed batch,
+    in the order of ``forward_packed``'s rows, or is the one script of a
+    one-example forward.  Returns (the mean over the B examples of their
+    summed losses as a tensor, the sum of their edit losses, the sum of
+    their language losses).
+    """
+    if isinstance(scripts, EditScript):
+        scripts = [scripts]
+    lengths = [len(gt) for gt in scripts]
+    if op_logits.shape[0] != sum(lengths):
+        raise ModelError(f"{op_logits.shape[0]} logit rows vs script lengths {lengths}")
+    ops, words, content_mask = (np.concatenate(parts)
+                                for parts in zip(*map(script_targets, scripts)))
+    example = np.repeat(np.arange(len(scripts)), lengths)
+    l_edit = ad.cross_entropy(op_logits, ops, example=example)
+    l_lang = ad.cross_entropy(word_logits, words, content_mask, example=example)
+    return (ad.scale(ad.add(l_edit, l_lang), 1.0 / len(scripts)),
+            float(l_edit.data), float(l_lang.data))
 
 
 @dataclass(frozen=True)
@@ -332,6 +346,17 @@ class TrainConfig:
     p_truncate: float = 0.15
     seed: int = 0
     holdout_cap: int = 50
+
+    def __post_init__(self):
+        for name in ("batch", "epochs"):
+            if getattr(self, name) < 1:
+                raise ModelError(f"{name} must be positive, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ModelError(f"lr must be finite and positive, got {self.lr}")
+        if not 0 <= self.warmup_frac <= 1:
+            raise ModelError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
+        if self.holdout_cap < 0:
+            raise ModelError(f"holdout_cap must be non-negative, got {self.holdout_cap}")
 
 
 def lr_at(step: int, total_steps: int, hyper: TrainConfig) -> float:
@@ -375,32 +400,32 @@ def train(corpus, sch: NoiseSchedule, cfg: ModelConfig, hyper: TrainConfig,
     for epoch in range(hyper.epochs):
         order = rng.permutation(n)
         edit_sum = lang_sum = 0.0
-        pending = 0
-        for count, idx in enumerate(order, start=1):
-            ex = corpus.train[idx]
-            x_t, t = sample_denoising_example(ex.caption, sch, vocab, rng,
-                                              hyper.p_terminal, hyper.p_truncate)
-            gt = align(x_t, ex.caption)
-            op_logits, word_logits = model.forward(ex.condition, x_t.ids(), t)
-            loss, l_edit, l_lang = model_loss(op_logits, word_logits, gt)
+        for first in range(0, n, hyper.batch):
+            ids = order[first:first + hyper.batch]
+            batch = [corpus.train[idx] for idx in ids]
+            states = [sample_denoising_example(ex.caption, sch, vocab, rng,
+                                               hyper.p_terminal, hyper.p_truncate)
+                      for ex in batch]
+            op_logits, word_logits = model.forward_packed(
+                [ex.condition for ex in batch], [x_t.ids() for x_t, _ in states],
+                [t for _, t in states])
+            loss, l_edit, l_lang = model_loss(
+                op_logits, word_logits,
+                [align(x_t, ex.caption) for (x_t, _), ex in zip(states, batch)])
             if not np.isfinite(loss.data):
                 raise RuntimeError(
-                    f"non-finite loss at epoch {epoch} example {int(idx)} "
+                    f"non-finite loss at epoch {epoch} in the batch of examples {ids.tolist()} "
                     f"(edit={l_edit}, language={l_lang})")
             backward(loss)
             edit_sum += l_edit
             lang_sum += l_lang
-            pending += 1
-            if pending == hyper.batch or count == n:
-                for p in params:
-                    # a batch with no INSERT/REPLACE targets leaves the
-                    # language head untouched; treat that as a zero gradient
-                    if p.grad is None:
-                        p.grad = np.zeros_like(p.data)
-                    p.grad /= pending
-                adam.step(lr=lr_at(opt_step, total_steps, hyper))
-                opt_step += 1
-                pending = 0
+            for p in params:
+                # a batch with no INSERT/REPLACE targets leaves the
+                # language head untouched; treat that as a zero gradient
+                if p.grad is None:
+                    p.grad = np.zeros_like(p.data)
+            adam.step(lr=lr_at(opt_step, total_steps, hyper))
+            opt_step += 1
         em = holdout_exact_match(model, corpus.val, sch, vocab, rng,
                                  cap=hyper.holdout_cap)
         row = {

@@ -237,3 +237,80 @@ def test_no_grad_is_restored_after_an_exception():
             assert not ad.add(a, a).requires_grad
             ad.matmul(a, a)
     assert ad.add(a, a).requires_grad
+
+
+def test_scatter_rows_and_take_rows_undo_each_other():
+    rng = np.random.default_rng(8)
+    x = leaf(rng.normal(size=(4, 3)))
+    ids = np.array([5, 0, 2, 3])
+    padded = ad.scatter_rows(x, ids, 6)
+    assert np.array_equal(padded.data[ids], x.data)
+    assert np.array_equal(padded.data[[1, 4]], np.zeros((2, 3)))
+    assert np.array_equal(ad.take_rows(padded, ids).data, x.data)
+    mix = Tensor(rng.normal(size=(6, 6)))
+    weights = Tensor(rng.normal(size=(6, 3)))
+
+    def f():
+        mixed = ad.matmul(mix, ad.scatter_rows(x, ids, 6))
+        return ad.sum_all(ad.mul(ad.take_rows(ad.mul(mixed, weights), ids[::-1]), x))
+
+    assert grad_check(f, [x], eps=1e-5) < 1e-6
+
+
+def test_cross_entropy_sums_the_mean_of_each_example():
+    rng = np.random.default_rng(9)
+    logits = leaf(rng.normal(size=(7, 5)))
+    targets = np.array([0, 1, 2, 3, 4, 0, 1])
+    mask = np.array([True, False, True, False, False, True, True])
+    example = np.array([0, 0, 0, 1, 1, 2, 2])  # example 1 has no unmasked rows
+    loss = ad.cross_entropy(logits, targets, mask, example)
+    parts = [ad.cross_entropy(Tensor(logits.data[rows]), targets[rows], mask[rows])
+             for rows in (slice(0, 3), slice(5, 7))]
+    assert float(loss.data) == pytest.approx(sum(float(p.data) for p in parts), abs=1e-12)
+    backward(loss)
+    assert np.array_equal(logits.grad[[1, 3, 4]], np.zeros((3, 5)))
+    assert np.allclose(logits.grad[[0, 2]].sum(axis=1), 0.0, atol=1e-12)
+    assert grad_check(lambda: ad.cross_entropy(logits, targets, mask, example), [logits]) < 1e-6
+    with pytest.raises(ShapeError):
+        ad.cross_entropy(logits, targets, mask, example[:-1])
+
+
+def test_backward_consumes_the_tape():
+    w = leaf([1.0, -2.0, 0.5])
+    h = ad.silu(ad.mul(w, w))
+    loss = ad.sum_all(ad.mul(h, h))
+    backward(loss)
+    # tensors the caller holds keep their gradients; the graph is gone
+    assert w.grad is not None and h.grad is not None and loss.grad is not None
+    assert h._parents == () and loss._parents == ()
+    with pytest.raises(ValueError):
+        backward(loss)
+    with pytest.raises(ValueError):
+        backward(ad.sum_all(h))  # a new loss on top of a consumed node
+    # a fresh graph over the same leaves differentiates as before
+    grad = w.grad.copy()
+    zero_grads([w])
+    backward(ad.sum_all(ad.mul(ad.silu(ad.mul(w, w)), ad.silu(ad.mul(w, w)))))
+    assert np.array_equal(w.grad, grad)
+
+
+def test_adam_in_place_matches_the_textbook_update():
+    rng = np.random.default_rng(10)
+    shapes = [(7, 5), (5,), (300,)]
+    params = [leaf(rng.normal(size=s)) for s in shapes]
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    adam = Adam(params, lr=1e-2)
+    for step in range(1, 6):
+        lr = 1e-2 * step
+        for k, p in enumerate(params):
+            g = rng.normal(size=shapes[k])
+            p.grad = g.copy()
+            m[k] = 0.9 * m[k] + (1 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1 - 0.999) * g ** 2
+            ref[k] = ref[k] - lr * (m[k] / (1 - 0.9 ** step)) / (
+                np.sqrt(v[k] / (1 - 0.999 ** step)) + 1e-8)
+        adam.step(lr=lr)
+    for p, r in zip(params, ref):
+        assert np.array_equal(p.data, r)

@@ -139,6 +139,18 @@ def test_train_missing_corpus_is_io_error(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--batch", "0"], ["--batch", "-1"], ["--epochs", "0"],
+                                   ["--epochs", "-1"], ["--lr", "0"], ["--lr", "nan"],
+                                   ["--warmup-frac", "2"]])
+def test_train_bad_hyperparameter_is_usage_error(trained, tmp_path, capsys, flags):
+    corpus_dir, _ = trained
+    out = tmp_path / "m.ckpt"
+    code = main(["train", "--corpus", str(corpus_dir), "--out", str(out)] + flags)
+    assert code == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_edit_command(trained, tmp_path, capsys):
     corpus_dir, ckpt = trained
     corpus = load_corpus(corpus_dir)

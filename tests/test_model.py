@@ -293,6 +293,95 @@ def test_packed_forward_gradient_check():
     assert err < 1e-4
 
 
+RAGGED_CONDITIONS = [[0, 1, 2], [], [3]]
+RAGGED_CAPTIONS = [[5, 6, 7], [8], [4, 9]]
+RAGGED_SCRIPTS = [EditScript(((K, None), (R, 7), (I, 4), (D, None))),
+                  EditScript(((I, 5), (R, 6))),
+                  EditScript(((K, None), (K, None), (D, None)))]
+RAGGED_TS = [3, 1, 7]
+
+
+def ragged_model():
+    return DenoiserModel(ModelConfig(vocab_size=12, cond_vocab_size=9, embed_dim=8,
+                                     num_layers=2, num_heads=2, ffn_dim=16, max_seq_len=16,
+                                     seed=2))
+
+
+def test_batched_loss_is_the_mean_of_per_example_losses():
+    m = ragged_model()
+    op_logits, word_logits = m.forward_packed(RAGGED_CONDITIONS, RAGGED_CAPTIONS, RAGGED_TS)
+    loss, l_edit, l_lang = model_loss(op_logits, word_logits, RAGGED_SCRIPTS)
+    singles, start = [], 0
+    for gt in RAGGED_SCRIPTS:
+        rows = slice(start, start + len(gt))
+        start = rows.stop
+        singles.append(model_loss(ad.Tensor(op_logits.data[rows]),
+                                  ad.Tensor(word_logits.data[rows]), gt))
+    assert abs(float(loss.data) - np.mean([float(x.data) for x, _, _ in singles])) < 1e-12
+    assert abs(l_edit - sum(e for _, e, _ in singles)) < 1e-12
+    assert abs(l_lang - sum(g for _, _, g in singles)) < 1e-12
+    with pytest.raises(ModelError):
+        model_loss(op_logits, word_logits, RAGGED_SCRIPTS[:2])
+
+    def f():
+        return model_loss(*m.forward_packed(RAGGED_CONDITIONS, RAGGED_CAPTIONS, RAGGED_TS),
+                          RAGGED_SCRIPTS)[0]
+
+    assert grad_check(f, m.param_list(), eps=1e-3, order=4) < 1e-4
+
+
+def test_one_script_loss_is_the_plain_masked_mean():
+    rng = np.random.default_rng(12)
+    op_data, word_data = rng.normal(size=(9, 4)), rng.normal(size=(9, 12)) * 3
+    gt = EditScript(((I, 4),) + ((K, None), (R, 7), (D, None), (I, 5)) * 2)
+    ops, words, mask = script_targets(gt)
+
+    def nll(x, targets):
+        return np.log(np.exp(x - x.max(axis=1, keepdims=True)).sum(axis=1)) \
+            + x.max(axis=1) - x[np.arange(len(x)), targets]
+
+    edit = (nll(op_data, ops) * np.ones(9, dtype=bool)).sum() / 9
+    lang = (nll(word_data, words) * mask).sum() / int(mask.sum())
+    for scripts in (gt, [gt]):
+        loss, l_edit, l_lang = model_loss(ad.Tensor(op_data), ad.Tensor(word_data), scripts)
+        assert (float(loss.data), l_edit, l_lang) == (edit + lang, edit, lang)
+
+
+def test_padded_attention_gradients_match_the_gather_layout(monkeypatch):
+    # padded rows get exactly zero gradient, so writing rows into zero
+    # padding and taking them back gives the bits of gathering them with
+    # add.at in the backward
+    def run():
+        m = ragged_model()
+        op_logits, word_logits = m.forward_packed(RAGGED_CONDITIONS, RAGGED_CAPTIONS,
+                                                  RAGGED_TS)
+        backward(model_loss(op_logits, word_logits, RAGGED_SCRIPTS)[0])
+        return {name: p.grad for name, p in m.params.items()}
+
+    padded = run()
+
+    def gathered_rows(a, ids, n):
+        seq = np.zeros(n, dtype=np.int64)  # padding repeats row 0
+        seq[ids] = np.arange(len(ids))
+        return ad.gather(a, seq)
+
+    monkeypatch.setattr(ad, "scatter_rows", gathered_rows)
+    monkeypatch.setattr(ad, "take_rows", ad.gather)
+    gathered = run()
+    assert all(np.array_equal(padded[name], gathered[name]) for name in padded)
+
+
+def test_train_config_validation():
+    for bad in ({"batch": 0}, {"batch": -1}, {"epochs": 0}, {"epochs": -1}, {"lr": 0.0},
+                {"lr": -1e-3}, {"lr": float("nan")}, {"lr": float("inf")},
+                {"warmup_frac": 2.0}, {"warmup_frac": -0.1}, {"warmup_frac": float("nan")},
+                {"holdout_cap": -1}):
+        with pytest.raises(ModelError):
+            TrainConfig(**bad)
+    TrainConfig(batch=1, epochs=1, warmup_frac=0.0, holdout_cap=0)
+    TrainConfig(warmup_frac=1.0)
+
+
 def test_packed_forward_validates_batch():
     m = tiny_model()
     with pytest.raises(ModelError):
