@@ -8,6 +8,13 @@ differentiated only once.  Tensors the caller still holds keep their
 ``.grad``.  Inside ``no_grad()`` no tape is built at all.  Only the
 primitives the denoiser needs are implemented; shapes are checked eagerly
 and errors name the offending op.
+
+Gradients are not copied on the way: a tensor's first gradient becomes its
+``.grad`` as it is handed over, and may be shared with another tensor (``add``
+hands one ``g`` to both parents) or be a view of a child's gradient.  So a
+backward closure never writes into the ``g`` it receives, and nothing writes
+into a ``.grad`` in place, apart from ``_accum`` adding into a buffer that it
+allocated itself for a second gradient.
 """
 
 from __future__ import annotations
@@ -48,11 +55,12 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        self._owns_grad = False
         if not _grad_enabled:
             parents, backward = (), None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
@@ -69,19 +77,14 @@ class Tensor:
     def _accum(self, g: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
-
-    def __getitem__(self, key):
-        out_data = self.data[key]
-
-        def bwd(g, x=self, k=key, shape=self.data.shape):
-            buf = np.zeros(shape)
-            buf[k] += g
-            x._accum(buf)
-
-        return Tensor(out_data, parents=(self,), backward=bwd)
+        if g.shape != self.data.shape:
+            raise ShapeError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
+        if self.grad is None:  # kept as handed over: it may be shared
+            self.grad, self._owns_grad = g, False
+        elif self._owns_grad:
+            self.grad += g
+        else:
+            self.grad, self._owns_grad = self.grad + g, True
 
 
 def as_tensor(x) -> Tensor:
@@ -96,22 +99,11 @@ def add(a, b) -> Tensor:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
 
     def bwd(g, a=a, b=b):
-        a._accum(_unbroadcast(g, a.data.shape))
-        b._accum(_unbroadcast(g, b.data.shape))
-
-    return Tensor(out_data, parents=(a, b), backward=bwd)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out_data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from None
-
-    def bwd(g, a=a, b=b):
-        a._accum(_unbroadcast(g * b.data, a.data.shape))
-        b._accum(_unbroadcast(g * a.data, b.data.shape))
+        # a constant operand (a mask, a position table) gets no gradient,
+        # so its broadcast sum is not taken
+        for t in (a, b):
+            if t.requires_grad:
+                t._accum(_unbroadcast(g, t.data.shape))
 
     return Tensor(out_data, parents=(a, b), backward=bwd)
 
@@ -140,6 +132,24 @@ def matmul(a, b) -> Tensor:
         b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return Tensor(out_data, parents=(a, b), backward=bwd)
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` for a 2-D ``x`` as one node; the bias gradient is the
+    column sum of the output gradient."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] \
+            or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+    out_data = x.data @ w.data
+    out_data += b.data
+
+    def bwd(g, x=x, w=w, b=b):
+        x._accum(g @ w.data.T)
+        w._accum(x.data.T @ g)
+        b._accum(g.sum(axis=0))
+
+    return Tensor(out_data, parents=(x, w, b), backward=bwd)
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -192,20 +202,29 @@ def softmax(a) -> Tensor:
     return Tensor(y, parents=(a,), backward=bwd)
 
 
-def layer_norm(a, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (no affine)."""
-    a = as_tensor(a)
-    mean = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
+def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+    """Normalize each row of a 2-D ``x`` to zero mean / unit variance, then
+    scale by ``gain`` and shift by ``bias``, as one node."""
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    if x.data.ndim != 2 or gain.shape != (x.shape[1],) or bias.shape != gain.shape:
+        raise ShapeError(f"layer_norm: incompatible shapes {x.shape}, {gain.shape} "
+                         f"and {bias.shape}")
+    mean = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mean) * inv
+    xhat = (x.data - mean) * inv
+    out_data = xhat * gain.data
+    out_data += bias.data
 
-    def bwd(g, a=a, inv=inv, xhat=xhat):
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
-        a._accum(inv * (g - gm - xhat * gx))
+    def bwd(g, x=x, gain=gain, bias=bias, inv=inv, xhat=xhat):
+        bias._accum(g.sum(axis=0))
+        gain._accum((g * xhat).sum(axis=0))
+        gx = g * gain.data
+        gm = gx.mean(axis=-1, keepdims=True)
+        gxx = (gx * xhat).mean(axis=-1, keepdims=True)
+        x._accum(inv * (gx - gm - xhat * gxx))
 
-    return Tensor(xhat, parents=(a,), backward=bwd)
+    return Tensor(out_data, parents=(x, gain, bias), backward=bwd)
 
 
 def gather(table, ids) -> Tensor:
@@ -267,15 +286,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
             offset += size
 
     return Tensor(out_data, parents=tuple(tensors), backward=bwd)
-
-
-def sum_all(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bwd(g, a=a):
-        a._accum(np.full(a.data.shape, float(g)))
-
-    return Tensor(a.data.sum(), parents=(a,), backward=bwd)
 
 
 def cross_entropy(logits, targets, mask=None, example=None) -> Tensor:

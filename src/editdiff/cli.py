@@ -182,7 +182,9 @@ TRAIN_DEFAULTS = {
 }
 
 
-def train_once(corpus: Corpus, cfg: dict, quiet: bool = False):
+def train_configs(corpus: Corpus, cfg: dict) -> tuple[NoiseSchedule, ModelConfig, TrainConfig]:
+    """The schedule, model and training configs of a run, each of which
+    validates its values."""
     sch = schedule_from(cfg)
     mcfg = ModelConfig(vocab_size=corpus.vocab.size,
                        cond_vocab_size=corpus.spec.cond_vocab_size,
@@ -193,6 +195,11 @@ def train_once(corpus: Corpus, cfg: dict, quiet: bool = False):
                         warmup_frac=cfg["warmup_frac"],
                         p_terminal=cfg["p_terminal"], p_truncate=cfg["p_truncate"],
                         seed=cfg["seed"])
+    return sch, mcfg, hyper
+
+
+def train_once(corpus: Corpus, cfg: dict, quiet: bool = False):
+    sch, mcfg, hyper = train_configs(corpus, cfg)
     log_fn = None if quiet else lambda row: print(
         f"epoch {row['epoch']:3d}  edit {row['loss_edit']:.4f}  "
         f"language {row['loss_language']:.4f}  holdout-em {row['holdout_em']:.3f}  "
@@ -204,6 +211,7 @@ def train_once(corpus: Corpus, cfg: dict, quiet: bool = False):
 def cmd_train(args) -> int:
     cfg = resolve(args, read_config_file(args.config), TRAIN_DEFAULTS)
     corpus = load_corpus_checked(args.corpus)
+    train_configs(corpus, cfg)  # raises on a bad value before any file is written
     out = Path(args.out)
     announce_config("train", {**cfg, "corpus": args.corpus, "out": str(out)},
                     out.with_suffix(out.suffix + ".config"))

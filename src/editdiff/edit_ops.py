@@ -31,9 +31,6 @@ class Origin(enum.Enum):
     RANDOM_WORD = "random_word"
 
 
-OP_LETTER = {EditOp.KEEP: "K", EditOp.REPLACE: "R", EditOp.INSERT: "I", EditOp.DELETE: "D"}
-
-
 class EditError(ValueError):
     pass
 
@@ -98,19 +95,6 @@ class EditScript:
     @property
     def caption_len(self) -> int:
         return len(self.slots) - 1
-
-    def render(self, vocab: Vocabulary) -> str:
-        parts = []
-        for op, content in self.slots:
-            if content is None:
-                parts.append(OP_LETTER[op])
-            else:
-                parts.append(f"{OP_LETTER[op]}({vocab.decode(content)})")
-        return " ".join(parts)
-
-
-def all_keep_script(caption_len: int) -> EditScript:
-    return EditScript(tuple((EditOp.KEEP, None) for _ in range(caption_len + 1)))
 
 
 def apply_script(c: CaptionState, s: EditScript, decrement_step: bool,

@@ -49,13 +49,6 @@ def token_f1(hyp, ref) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def mean_ratio(pairs) -> float:
-    pairs = list(pairs)
-    if not pairs:
-        raise MetricError("mean_ratio needs at least one pair")
-    return float(np.mean([lev_ratio(a, b) for a, b in pairs]))
-
-
 def _ngrams(seq, n):
     return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
 

@@ -133,11 +133,12 @@ class DenoiserModel:
         return list(self.params.values())
 
     def _ln(self, x: Tensor, prefix: str) -> Tensor:
-        return ad.add(ad.mul(ad.layer_norm(x), self.params[f"{prefix}.g"]),
-                      self.params[f"{prefix}.b"])
+        return ad.layer_norm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
+
+    def _linear(self, x: Tensor, prefix: str, w: str = "w", b: str = "b") -> Tensor:
+        return ad.linear(x, self.params[f"{prefix}.{w}"], self.params[f"{prefix}.{b}"])
 
     def _attention(self, x: Tensor, layer: int, layout: _Layout | None) -> Tensor:
-        p = self.params
         pre = f"layers.{layer}.attn"
         cfg = self.cfg
         heads, dh = cfg.num_heads, cfg.embed_dim // cfg.num_heads
@@ -147,7 +148,7 @@ class DenoiserModel:
             batch, length = layout.shape
 
         def project(w: str, axes) -> Tensor:  # x W + b as [B, L, H, dh], then permuted
-            a = ad.add(ad.matmul(x, p[f"{pre}.w{w}"]), p[f"{pre}.b{w}"])
+            a = self._linear(x, pre, f"w{w}", f"b{w}")
             if layout is not None:
                 a = ad.scatter_rows(a, layout.back, batch * length)
             return ad.transpose(ad.reshape(a, (batch, length, heads, dh)), axes)
@@ -162,15 +163,11 @@ class DenoiserModel:
         attn = ad.reshape(ad.transpose(attn, (0, 2, 1, 3)), (batch * length, cfg.embed_dim))
         if layout is not None:
             attn = ad.take_rows(attn, layout.back)
-        attn = ad.matmul(attn, p[f"{pre}.wo"])
-        return ad.add(attn, p[f"{pre}.bo"])
+        return self._linear(attn, pre, "wo", "bo")
 
     def _ffn(self, x: Tensor, layer: int) -> Tensor:
-        p = self.params
-        h = ad.silu(ad.add(ad.matmul(x, p[f"layers.{layer}.ffn.w1"]),
-                           p[f"layers.{layer}.ffn.b1"]))
-        return ad.add(ad.matmul(h, p[f"layers.{layer}.ffn.w2"]),
-                      p[f"layers.{layer}.ffn.b2"])
+        pre = f"layers.{layer}.ffn"
+        return self._linear(ad.silu(self._linear(x, pre, "w1", "b1")), pre, "w2", "b2")
 
     def _embed(self, conditions, captions, ts, cond_lens, word_lens) -> Tensor:
         """Input rows in the packed order: all condition rows, then all
@@ -185,13 +182,13 @@ class DenoiserModel:
         # the condition length; the segment embedding separates the streams
         word_x = ad.add(ad.add(ad.scale(ad.gather(self.params["word_emb"], word_ids), emb_gain),
                                Tensor(self.pos_table[_ranges(word_lens)] + time_rows)),
-                        seg[1:2, :])
+                        ad.gather(seg, [1]))
         if not cond_lens.sum():
             return word_x
         cond_ids = np.array([i for cond in conditions for i in cond], dtype=np.int64)
         cond_x = ad.add(ad.add(ad.scale(ad.gather(self.params["cond_emb"], cond_ids), emb_gain),
                                Tensor(self.pos_table[_ranges(cond_lens)])),
-                        seg[0:1, :])
+                        ad.gather(seg, [0]))
         return ad.concat([cond_x, word_x], axis=0)
 
     def forward(self, condition, caption_ids, t: int) -> tuple[Tensor, Tensor]:
@@ -229,18 +226,17 @@ class DenoiserModel:
         for i in range(cfg.num_layers):
             x = ad.add(x, self._attention(self._ln(x, f"layers.{i}.ln1"), i, layout))
             x = ad.add(x, self._ffn(self._ln(x, f"layers.{i}.ln2"), i))
-        x = self._ln(x, "ln_f")
-
-        rows = x[int(cond_lens.sum()):, :]
-        op_logits = ad.add(ad.matmul(rows, self.params["edit_head.w"]),
-                           self.params["edit_head.b"])
+        # layer norm works row by row, so the condition rows, which no head
+        # reads, are dropped before it
+        n_cond = int(cond_lens.sum())
+        rows = self._ln(ad.take_rows(x, np.arange(n_cond, x.shape[0])), "ln_f")
+        op_logits = self._linear(rows, "edit_head")
         sentinel_mask = np.zeros((rows.shape[0], 4))
         starts = np.cumsum(word_lens) - word_lens
         sentinel_mask[starts, int(EditOp.REPLACE)] = NEG_INF
         sentinel_mask[starts, int(EditOp.DELETE)] = NEG_INF
         op_logits = ad.add(op_logits, Tensor(sentinel_mask))
-        word_logits = ad.add(ad.matmul(rows, self.params["lang_head.w"]),
-                             self.params["lang_head.b"])
+        word_logits = self._linear(rows, "lang_head")
         # special ids never appear inside captions, so the content head
         # must not be able to emit them
         special_mask = np.zeros((1, cfg.vocab_size))

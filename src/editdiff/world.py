@@ -212,28 +212,43 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> None:
 
 
 def load_corpus(in_dir: str | Path) -> Corpus:
+    """Read a corpus written by ``save_corpus``; a file that lacks a field or
+    holds the wrong kind of JSON value raises ``WorldError``."""
     in_dir = Path(in_dir)
     meta = json.loads((in_dir / "meta.json").read_text(encoding="utf-8"))
-    spec = WorldSpec(
-        entities=tuple(meta["entities"]),
-        attributes=tuple(meta["attributes"]),
-        relations=tuple(meta["relations"]),
-        length_bounds=tuple(meta["length_bounds"]),
-        seed=meta["seed"],
-    )
+    if not isinstance(meta, dict):
+        raise WorldError(f"meta.json must hold a JSON object, not {type(meta).__name__}")
+    try:
+        spec = WorldSpec(
+            entities=tuple(meta["entities"]),
+            attributes=tuple(meta["attributes"]),
+            relations=tuple(meta["relations"]),
+            length_bounds=tuple(meta["length_bounds"]),
+            seed=meta["seed"],
+        )
+        recorded_hash = meta["hash"]
+    except (KeyError, TypeError) as e:
+        raise WorldError(f"meta.json needs the spec's fields and the hash: "
+                         f"{type(e).__name__} {e}") from None
     vocab = Vocabulary.load(in_dir / "vocab.txt")
-    corpus = Corpus(spec, vocab, meta["seed"])
+    corpus = Corpus(spec, vocab, spec.seed)
     for split in ("train", "val", "test"):
         rows = (in_dir / f"{split}.jsonl").read_text(encoding="utf-8").splitlines()
-        for row in rows:
+        for line, row in enumerate(rows, 1):
             obj = json.loads(row)
-            corpus.split(split).append(Example(
-                obj["scene_id"],
-                tuple(tuple(f) for f in obj["facts"]),
-                tuple(obj["condition"]),
-                tuple(obj["caption"]),
-            ))
-    if corpus.content_hash() != meta["hash"]:
+            try:
+                example = Example(
+                    obj["scene_id"],
+                    tuple(tuple(f) for f in obj["facts"]),
+                    tuple(obj["condition"]),
+                    tuple(obj["caption"]),
+                )
+            except (KeyError, TypeError) as e:
+                raise WorldError(f"{split}.jsonl line {line}: need an object with scene_id, "
+                                 f"facts, condition and caption: {type(e).__name__} {e}"
+                                 ) from None
+            corpus.split(split).append(example)
+    if corpus.content_hash() != recorded_hash:
         raise WorldError("corpus files do not match recorded hash")
     return corpus
 

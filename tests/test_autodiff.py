@@ -3,6 +3,7 @@ import pytest
 
 from editdiff import autodiff as ad
 from editdiff.autodiff import Adam, ShapeError, Tensor, backward, grad_check, zero_grads
+from helpers import mul, sum_all, unfused_layer_norm, unfused_linear
 
 
 def leaf(data):
@@ -12,7 +13,7 @@ def leaf(data):
 def test_add_broadcast_gradients():
     a = leaf(np.ones((3, 4)))
     b = leaf(np.ones(4))
-    loss = ad.sum_all(ad.add(a, b))
+    loss = sum_all(ad.add(a, b))
     backward(loss)
     assert np.array_equal(a.grad, np.ones((3, 4)))
     assert np.array_equal(b.grad, np.full(4, 3.0))
@@ -21,7 +22,7 @@ def test_add_broadcast_gradients():
 def test_mul_gradients():
     a = leaf([2.0, 3.0])
     b = leaf([5.0, 7.0])
-    backward(ad.sum_all(ad.mul(a, b)))
+    backward(sum_all(mul(a, b)))
     assert np.array_equal(a.grad, [5.0, 7.0])
     assert np.array_equal(b.grad, [2.0, 3.0])
 
@@ -29,7 +30,7 @@ def test_mul_gradients():
 def test_matmul_gradients_and_shape_check():
     a = leaf(np.arange(6, dtype=float).reshape(2, 3))
     b = leaf(np.arange(12, dtype=float).reshape(3, 4))
-    backward(ad.sum_all(ad.matmul(a, b)))
+    backward(sum_all(ad.matmul(a, b)))
     g = np.ones((2, 4))
     assert np.allclose(a.grad, g @ b.data.T)
     assert np.allclose(b.grad, a.data.T @ g)
@@ -39,8 +40,8 @@ def test_matmul_gradients_and_shape_check():
 
 def test_shared_node_accumulates_grad():
     a = leaf([1.0, 2.0])
-    y = ad.add(ad.mul(a, a), a)  # a^2 + a -> dy/da = 2a + 1
-    backward(ad.sum_all(y))
+    y = ad.add(mul(a, a), a)  # a^2 + a -> dy/da = 2a + 1
+    backward(sum_all(y))
     assert np.allclose(a.grad, 2 * a.data + 1)
 
 
@@ -48,13 +49,13 @@ def test_softmax_rows_sum_to_one_and_grad_is_zero_mean():
     x = leaf(np.random.default_rng(0).normal(size=(3, 5)))
     y = ad.softmax(x)
     assert np.allclose(y.data.sum(axis=-1), 1.0)
-    backward(ad.sum_all(ad.mul(y, Tensor(np.eye(3, 5)))))
+    backward(sum_all(mul(y, Tensor(np.eye(3, 5)))))
     assert np.allclose(x.grad.sum(axis=-1), 0.0, atol=1e-12)
 
 
 def test_layer_norm_output_moments():
     x = leaf(np.random.default_rng(1).normal(2.0, 3.0, size=(4, 16)))
-    y = ad.layer_norm(x)
+    y = ad.layer_norm(x, leaf(np.ones(16)), leaf(np.zeros(16)))
     assert np.allclose(y.data.mean(axis=-1), 0.0, atol=1e-9)
     assert np.allclose(y.data.var(axis=-1), 1.0, atol=1e-3)
 
@@ -62,7 +63,7 @@ def test_layer_norm_output_moments():
 def test_gather_routes_gradients_to_rows():
     table = leaf(np.zeros((5, 3)))
     out = ad.gather(table, np.array([1, 1, 4]))
-    backward(ad.sum_all(out))
+    backward(sum_all(out))
     expect = np.zeros((5, 3))
     expect[1] = 2.0
     expect[4] = 1.0
@@ -79,7 +80,7 @@ def test_concat_and_slice_round_trip():
     a = leaf(np.ones((2, 3)))
     b = leaf(np.full((1, 3), 2.0))
     y = ad.concat([a, b], axis=0)
-    backward(ad.sum_all(y[2:, :]))
+    backward(sum_all(ad.take_rows(y, [2])))
     assert np.array_equal(a.grad, np.zeros((2, 3)))
     assert np.array_equal(b.grad, np.ones((1, 3)))
 
@@ -135,7 +136,7 @@ def test_grad_check_small_mlp():
 
 def test_grad_check_rejects_bad_order():
     with pytest.raises(ValueError):
-        grad_check(lambda: ad.sum_all(leaf([1.0])), [], order=3)
+        grad_check(lambda: sum_all(leaf([1.0])), [], order=3)
 
 
 def test_adam_converges_on_quadratic():
@@ -144,7 +145,7 @@ def test_adam_converges_on_quadratic():
     adam = Adam([p], lr=0.1)
     for _ in range(300):
         diff = ad.add(p, Tensor(-target))
-        backward(ad.sum_all(ad.mul(diff, diff)))
+        backward(sum_all(mul(diff, diff)))
         adam.step()
     assert np.allclose(p.data, target, atol=1e-3)
 
@@ -157,7 +158,7 @@ def test_adam_requires_grads():
 
 def test_adam_clears_grads_after_step():
     p = leaf(np.zeros(3))
-    backward(ad.sum_all(ad.mul(p, p)))
+    backward(sum_all(mul(p, p)))
     adam = Adam([p])
     adam.step()
     assert p.grad is None
@@ -165,7 +166,7 @@ def test_adam_clears_grads_after_step():
 
 def test_zero_grads():
     p = leaf(np.ones(2))
-    backward(ad.sum_all(p))
+    backward(sum_all(p))
     assert p.grad is not None
     zero_grads([p])
     assert p.grad is None
@@ -188,7 +189,7 @@ def test_batched_matmul_transpose_reshape_gather_gradients():
         mixed = ad.matmul(scores, heads)
         merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (6, 4))
         out = ad.gather(merged, back)
-        return ad.sum_all(ad.mul(out, weights))
+        return sum_all(mul(out, weights))
 
     assert grad_check(f, [x, w], eps=1e-5) < 1e-6
 
@@ -198,7 +199,7 @@ def test_batched_matmul_broadcasts_and_checks_shapes():
     b = leaf(np.arange(20, dtype=float).reshape(4, 5))
     out = ad.matmul(a, b)
     assert out.shape == (2, 3, 5)
-    backward(ad.sum_all(out))
+    backward(sum_all(out))
     assert b.grad.shape == (4, 5)
     assert np.array_equal(b.grad, np.full((4, 5), 6.0))
     with pytest.raises(ShapeError):
@@ -213,18 +214,18 @@ def test_gather_nd_ids_route_gradients():
     out = ad.gather(table, ids)
     assert out.shape == (2, 2, 2)
     assert np.array_equal(out.data[1, 0], [4.0, 5.0])
-    backward(ad.sum_all(out))
+    backward(sum_all(out))
     assert np.array_equal(table.grad[:, 0], [1.0, 0.0, 3.0])
 
 
 def test_no_grad_builds_no_tape():
     a = leaf([1.0, 2.0])
     with ad.no_grad():
-        y = ad.sum_all(ad.mul(ad.add(a, a), a))
+        y = sum_all(mul(ad.add(a, a), a))
         assert not y.requires_grad
         assert y._parents == () and y._backward is None
         assert float(y.data) == 10.0
-    z = ad.mul(a, a)
+    z = mul(a, a)
     assert z.requires_grad and z._parents == (a, a)
 
 
@@ -252,7 +253,7 @@ def test_scatter_rows_and_take_rows_undo_each_other():
 
     def f():
         mixed = ad.matmul(mix, ad.scatter_rows(x, ids, 6))
-        return ad.sum_all(ad.mul(ad.take_rows(ad.mul(mixed, weights), ids[::-1]), x))
+        return sum_all(mul(ad.take_rows(mul(mixed, weights), ids[::-1]), x))
 
     assert grad_check(f, [x], eps=1e-5) < 1e-6
 
@@ -277,8 +278,8 @@ def test_cross_entropy_sums_the_mean_of_each_example():
 
 def test_backward_consumes_the_tape():
     w = leaf([1.0, -2.0, 0.5])
-    h = ad.silu(ad.mul(w, w))
-    loss = ad.sum_all(ad.mul(h, h))
+    h = ad.silu(mul(w, w))
+    loss = sum_all(mul(h, h))
     backward(loss)
     # tensors the caller holds keep their gradients; the graph is gone
     assert w.grad is not None and h.grad is not None and loss.grad is not None
@@ -286,11 +287,11 @@ def test_backward_consumes_the_tape():
     with pytest.raises(ValueError):
         backward(loss)
     with pytest.raises(ValueError):
-        backward(ad.sum_all(h))  # a new loss on top of a consumed node
+        backward(sum_all(h))  # a new loss on top of a consumed node
     # a fresh graph over the same leaves differentiates as before
     grad = w.grad.copy()
     zero_grads([w])
-    backward(ad.sum_all(ad.mul(ad.silu(ad.mul(w, w)), ad.silu(ad.mul(w, w)))))
+    backward(sum_all(mul(ad.silu(mul(w, w)), ad.silu(mul(w, w)))))
     assert np.array_equal(w.grad, grad)
 
 
@@ -314,3 +315,66 @@ def test_adam_in_place_matches_the_textbook_update():
         adam.step(lr=lr)
     for p, r in zip(params, ref):
         assert np.array_equal(p.data, r)
+
+
+def test_first_gradient_is_kept_and_a_shared_one_is_not_written_into():
+    a, b = leaf([1.0, 2.0]), leaf([3.0, 4.0])
+    backward(sum_all(ad.add(a, b)))
+    assert a.grad is b.grad  # the one g that add hands to both parents
+    zero_grads([a, b])
+    c, d = Tensor([5.0, 7.0]), Tensor([11.0, 13.0])
+    # add(a, b) runs its backward first and hands a and b one buffer; b's
+    # second gradient, from mul(b, d), must not reach a
+    backward(sum_all(ad.add(mul(ad.add(a, b), c), mul(b, d))))
+    assert np.array_equal(a.grad, [5.0, 7.0])
+    assert np.array_equal(b.grad, [16.0, 20.0])
+    w = leaf([1.0, 2.0])
+    backward(sum_all(ad.add(ad.add(mul(w, w), w), w)))  # three gradients into w
+    assert np.array_equal(w.grad, [4.0, 6.0])
+
+
+def test_gradient_of_the_wrong_shape_is_rejected():
+    a = leaf(np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        a._accum(np.ones(3))
+    bad = Tensor(a.data.sum(), parents=(a,), backward=lambda g: a._accum(np.ones((3, 2))))
+    with pytest.raises(ShapeError):
+        backward(bad)
+
+
+def _fused_against_unfused(fused, unfused, inputs, weights):
+    """Values and every gradient of ``sum(weights * op(*inputs))``."""
+    results = []
+    for op in (fused, unfused):
+        zero_grads(inputs)
+        out = op(*inputs)
+        backward(sum_all(mul(out, weights)))
+        results.append([out.data] + [p.grad for p in inputs])
+    zero_grads(inputs)
+    return results
+
+
+def test_linear_is_matmul_plus_bias_bit_for_bit():
+    rng = np.random.default_rng(11)
+    inputs = [leaf(rng.normal(size=(7, 5))), leaf(rng.normal(size=(5, 3))),
+              leaf(rng.normal(size=3))]
+    weights = Tensor(rng.normal(size=(7, 3)))
+    fused, unfused = _fused_against_unfused(ad.linear, unfused_linear, inputs, weights)
+    assert all(np.array_equal(f, u) for f, u in zip(fused, unfused))
+    assert grad_check(lambda: sum_all(mul(ad.linear(*inputs), weights)), inputs) < 1e-6
+    with pytest.raises(ShapeError):
+        ad.linear(inputs[0], inputs[1], leaf(np.zeros(5)))
+    with pytest.raises(ShapeError):
+        ad.linear(leaf(np.zeros((2, 7, 5))), inputs[1], inputs[2])
+
+
+def test_affine_layer_norm_is_norm_times_gain_plus_bias_bit_for_bit():
+    rng = np.random.default_rng(12)
+    inputs = [leaf(rng.normal(1.0, 2.0, size=(6, 8))), leaf(rng.normal(1.0, 0.5, size=8)),
+              leaf(rng.normal(size=8))]
+    weights = Tensor(rng.normal(size=(6, 8)))
+    fused, unfused = _fused_against_unfused(ad.layer_norm, unfused_layer_norm, inputs, weights)
+    assert all(np.array_equal(f, u) for f, u in zip(fused, unfused))
+    assert grad_check(lambda: sum_all(mul(ad.layer_norm(*inputs), weights)), inputs) < 1e-6
+    with pytest.raises(ShapeError):
+        ad.layer_norm(inputs[0], leaf(np.ones(6)), inputs[2])

@@ -149,6 +149,38 @@ def test_train_bad_hyperparameter_is_usage_error(trained, tmp_path, capsys, flag
     assert code == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+    assert not Path(str(out) + ".config").exists()  # validated before any file is written
+
+
+def _meta_as_list(d):
+    meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))
+    (d / "meta.json").write_text(json.dumps(list(meta.values())), encoding="utf-8")
+
+
+def _meta_without_entities(d):
+    meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))
+    del meta["entities"]
+    (d / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+
+
+def _row_without_caption(d):
+    rows = (d / "train.jsonl").read_text(encoding="utf-8").splitlines()
+    first = json.loads(rows[0])
+    del first["caption"]
+    (d / "train.jsonl").write_text("\n".join([json.dumps(first)] + rows[1:]) + "\n",
+                                   encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage", [_meta_as_list, _meta_without_entities, _row_without_caption])
+def test_malformed_corpus_is_format_error(tmp_path, capsys, damage):
+    corpus_dir = tmp_path / "corpus"
+    save_corpus(make_corpus(WorldSpec(), 10, seed=0), corpus_dir)
+    damage(corpus_dir)
+    out = tmp_path / "m.ckpt"
+    code = main(["train", "--corpus", str(corpus_dir), "--out", str(out)])
+    assert code == EXIT_FORMAT
+    assert "format error" in capsys.readouterr().err
+    assert not Path(str(out) + ".config").exists()
 
 
 def test_edit_command(trained, tmp_path, capsys):

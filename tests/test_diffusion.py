@@ -16,9 +16,9 @@ from editdiff.edit_ops import (
     EditScript,
     NoiseSchedule,
     Origin,
-    all_keep_script,
 )
 from editdiff.vocab import build_vocab
+from helpers import all_keep_script
 
 VOCAB = build_vocab([f"w{i}" for i in range(40)])
 SCH = NoiseSchedule()

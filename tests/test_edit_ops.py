@@ -9,13 +9,13 @@ from editdiff.edit_ops import (
     NoiseSchedule,
     Origin,
     Token,
-    all_keep_script,
     apply_script,
     sample_noising_step,
     step_rates,
     survivor_map,
 )
 from editdiff.vocab import build_vocab
+from helpers import all_keep_script
 
 K, R, I, D = EditOp.KEEP, EditOp.REPLACE, EditOp.INSERT, EditOp.DELETE
 

@@ -11,7 +11,6 @@ from editdiff.metrics import (
     default_pins,
     evaluate,
     exact_match,
-    mean_ratio,
     parse_mode,
     retention_rate,
     token_f1,
@@ -38,12 +37,6 @@ def test_token_f1_multiset_semantics():
     assert token_f1([1, 9], [1, 2]) == pytest.approx(0.5)
     # duplicates are clipped to reference counts
     assert token_f1([1, 1, 1], [1, 2, 3]) == pytest.approx(1 / 3)
-
-
-def test_mean_ratio():
-    assert mean_ratio([([1, 2], [1, 2]), ([1], [2])]) == pytest.approx(0.5)
-    with pytest.raises(MetricError):
-        mean_ratio([])
 
 
 def test_bleu_perfect_and_disjoint():

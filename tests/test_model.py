@@ -24,6 +24,7 @@ from editdiff.model import (
     train,
 )
 from editdiff.world import WorldSpec, make_corpus
+from helpers import unfused_layer_norm, unfused_linear
 
 K, R, I, D = EditOp.KEEP, EditOp.REPLACE, EditOp.INSERT, EditOp.DELETE
 
@@ -283,9 +284,10 @@ def test_packed_forward_gradient_check():
         op_logits, word_logits = m.forward_packed(conditions, captions, [3, 1, 7])
         total, start = None, 0
         for gt in gts:
-            rows = slice(start, start + len(gt))
-            start = rows.stop
-            loss, _, _ = model_loss(op_logits[rows], word_logits[rows], gt)
+            rows = np.arange(start, start + len(gt))
+            start += len(gt)
+            loss, _, _ = model_loss(ad.take_rows(op_logits, rows),
+                                    ad.take_rows(word_logits, rows), gt)
             total = loss if total is None else ad.add(total, loss)
         return total
 
@@ -347,18 +349,18 @@ def test_one_script_loss_is_the_plain_masked_mean():
         assert (float(loss.data), l_edit, l_lang) == (edit + lang, edit, lang)
 
 
+def _ragged_gradients():
+    m = ragged_model()
+    op_logits, word_logits = m.forward_packed(RAGGED_CONDITIONS, RAGGED_CAPTIONS, RAGGED_TS)
+    backward(model_loss(op_logits, word_logits, RAGGED_SCRIPTS)[0])
+    return [op_logits.data, word_logits.data] + [p.grad for p in m.param_list()]
+
+
 def test_padded_attention_gradients_match_the_gather_layout(monkeypatch):
     # padded rows get exactly zero gradient, so writing rows into zero
     # padding and taking them back gives the bits of gathering them with
     # add.at in the backward
-    def run():
-        m = ragged_model()
-        op_logits, word_logits = m.forward_packed(RAGGED_CONDITIONS, RAGGED_CAPTIONS,
-                                                  RAGGED_TS)
-        backward(model_loss(op_logits, word_logits, RAGGED_SCRIPTS)[0])
-        return {name: p.grad for name, p in m.params.items()}
-
-    padded = run()
+    padded = _ragged_gradients()
 
     def gathered_rows(a, ids, n):
         seq = np.zeros(n, dtype=np.int64)  # padding repeats row 0
@@ -367,8 +369,33 @@ def test_padded_attention_gradients_match_the_gather_layout(monkeypatch):
 
     monkeypatch.setattr(ad, "scatter_rows", gathered_rows)
     monkeypatch.setattr(ad, "take_rows", ad.gather)
-    gathered = run()
-    assert all(np.array_equal(padded[name], gathered[name]) for name in padded)
+    gathered = _ragged_gradients()
+    assert all(np.array_equal(p, g) for p, g in zip(padded, gathered))
+
+
+def test_fused_nodes_give_the_unfused_gradients_bit_for_bit(monkeypatch):
+    fused = _ragged_gradients()
+    monkeypatch.setattr(ad, "linear", unfused_linear)
+    monkeypatch.setattr(ad, "layer_norm", unfused_layer_norm)
+    unfused = _ragged_gradients()
+    assert len(fused) == len(unfused) == 2 + len(ragged_model().params)
+    assert all(np.array_equal(f, u) for f, u in zip(fused, unfused))
+
+
+def test_training_forward_builds_a_fixed_number_of_tensors(monkeypatch):
+    # two layers of a ragged 3-example batch, with one node per linear and
+    # per layer norm: splitting any of them up changes the count
+    m = ragged_model()
+    built = []
+    real = ad.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting)
+    m.forward_packed(RAGGED_CONDITIONS, RAGGED_CAPTIONS, RAGGED_TS)
+    assert len(built) == 79
 
 
 def test_train_config_validation():
