@@ -2,6 +2,11 @@
 
 One cost model is shared by the evaluation ratio and the training
 supervision: INSERT and DELETE cost 1, REPLACE costs 2, KEEP is free.
+A REPLACE then costs exactly an INSERT plus a DELETE, so the distance is
+the identity ``len(a) + len(b) - 2 * LCS(a, b)``, and the longest common
+subsequence comes from the bit-parallel LCS of Allison & Dix (1986) in
+the form of Hyyrö (2004): one row bit-vector per source symbol, a few
+big-integer operations per row, no O(mn) table.
 """
 
 from __future__ import annotations
@@ -12,20 +17,36 @@ REPLACE_COST = 2
 INDEL_COST = 1
 
 
+def _lcs_rows(a, b, eligible=None) -> list[int]:
+    """Bit-parallel LCS rows of ``a`` against ``b``.
+
+    Bit k of ``rows[r]`` is 0 exactly when ``LCS(a[:r], b[:k + 1])`` exceeds
+    ``LCS(a[:r], b[:k])``, so the zero bits of ``rows[r]`` below bit k count
+    ``LCS(a[:r], b[:k])``.  A source symbol whose ``eligible`` flag is false
+    matches nothing: its row takes the mask 0 and repeats the row above.
+    """
+    masks: dict = {}
+    for k, sym in enumerate(b):
+        masks[sym] = masks.get(sym, 0) | (1 << k)
+    full = (1 << len(b)) - 1
+    v = full
+    rows = [v]
+    for r, sym in enumerate(a):
+        if eligible is None or eligible[r]:
+            u = v & masks.get(sym, 0)
+            v = ((v + u) | (v - u)) & full
+        rows.append(v)
+    return rows
+
+
 def weighted_ldist(a, b) -> int:
-    """Minimum weighted edit cost (#INSERT + #DELETE + 2 * #REPLACE)."""
+    """Minimum weighted edit cost (#INSERT + #DELETE + 2 * #REPLACE),
+    which is ``m + n - 2 * LCS(a, b)``."""
     a = list(a)
     b = list(b)
     m, n = len(a), len(b)
-    prev = list(range(0, n + 1))
-    for i in range(1, m + 1):
-        cur = [i] + [0] * n
-        ai = a[i - 1]
-        for j in range(1, n + 1):
-            diag = prev[j - 1] + (0 if ai == b[j - 1] else REPLACE_COST)
-            cur[j] = min(diag, prev[j] + INDEL_COST, cur[j - 1] + INDEL_COST)
-        prev = cur
-    return prev[n]
+    lcs = n - _lcs_rows(a, b)[m].bit_count()
+    return m + n - 2 * lcs
 
 
 def lev_ratio(a, b) -> float:
@@ -62,68 +83,18 @@ def brute_force_min_distance(a, b) -> int:
     return go(0, 0)
 
 
-def _backtrace(a, b, eligible=None):
-    """DP + one optimal backtrace; returns per-position ops and insertion gaps.
-
-    Tie-breaking prefers KEEP, then REPLACE, then INSERT, then DELETE, which
-    fixes a single deterministic alignment.  ``eligible[i]`` marks source
-    positions allowed to KEEP; positions the noising process filled with
-    random words are excluded so an accidental collision with a caption word
-    is still supervised as a replacement rather than a spurious survivor.
-    """
-    m, n = len(a), len(b)
-    if eligible is None:
-        eligible = [True] * m
-
-    def match(i: int, j: int) -> bool:
-        return eligible[i - 1] and a[i - 1] == b[j - 1]
-
-    # Suffix costs: cost[i][j] is the cheapest way to finish the alignment
-    # from source position i and target position j.  Walking the path from
-    # the front against these costs keeps equal-cost choices anchored at the
-    # start of the sequence, so the chosen path does not drift with length
-    # differences between a and b.
-    cost = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(m + 1):
-        cost[i][n] = (m - i) * INDEL_COST
-    for j in range(n + 1):
-        cost[m][j] = (n - j) * INDEL_COST
-    for i in range(m - 1, -1, -1):
-        for j in range(n - 1, -1, -1):
-            diag = cost[i + 1][j + 1] + (0 if match(i + 1, j + 1) else REPLACE_COST)
-            cost[i][j] = min(diag, cost[i + 1][j] + INDEL_COST,
-                             cost[i][j + 1] + INDEL_COST)
-
-    ops: dict[int, tuple[EditOp, int | None]] = {}
-    gaps: dict[int, list[int]] = {i: [] for i in range(m + 1)}
-    i = j = 0
-    path: list[tuple[EditOp, int, int]] = []
-    while i < m or j < n:
-        here = cost[i][j]
-        if i < m and j < n and match(i + 1, j + 1) and here == cost[i + 1][j + 1]:
-            path.append((EditOp.KEEP, i + 1, j + 1))
-            i, j = i + 1, j + 1
-        elif i < m and j < n and here == cost[i + 1][j + 1] + REPLACE_COST:
-            path.append((EditOp.REPLACE, i + 1, j + 1))
-            i, j = i + 1, j + 1
-        elif j < n and here == cost[i][j + 1] + INDEL_COST:
-            path.append((EditOp.INSERT, i, j + 1))
-            j += 1
-        else:
-            path.append((EditOp.DELETE, i + 1, j))
-            i += 1
-    for op, pi, pj in path:
-        if op is EditOp.INSERT:
-            gaps[pi].append(b[pj - 1])
-        elif op is EditOp.REPLACE:
-            ops[pi] = (EditOp.REPLACE, b[pj - 1])
-        else:
-            ops[pi] = (op, None)
-    return ops, gaps
-
-
 def align(x_t: CaptionState, x_0) -> EditScript:
     """Build the single-step supervision script transforming x_t toward x_0.
+
+    One walk from the front follows an optimal alignment.  At each source
+    position i and target position j it takes the first optimal move in the
+    order KEEP, REPLACE, INSERT, DELETE, judged against the suffix cost
+    ``cost(i, j)``, the distance from ``a[i:]`` to ``b[j:]``.  Walking from
+    the front keeps equal-cost choices anchored at the start of the sequence,
+    so the chosen path does not drift with length differences between a and
+    b.  The suffix costs come from the LCS rows of the reversed sequences:
+    with ``r = m - i`` and ``k = n - j``,
+    ``cost(i, j) = r - k + 2 * popcount(rows[r] & (2**k - 1))``.
 
     The optimal alignment may insert several words into one gap; a script
     slot can carry only one, so a gap after a KEEP position becomes an
@@ -132,26 +103,36 @@ def align(x_t: CaptionState, x_0) -> EditScript:
 
     Tokens flagged RANDOM_WORD never count as matches: they are noise even
     when they collide with a caption word, and crediting them with KEEP
-    would teach the denoiser to preserve lookalike words.
+    would teach the denoiser to preserve lookalike words.  A random word
+    that lands on its aligned target is already the right word in the right
+    slot, so it is supervised as KEEP and no script carries a no-op REPLACE.
     """
     a = x_t.ids()
     b = list(x_0)
+    m, n = len(a), len(b)
     eligible = [tok.origin is Origin.ORIGINAL for tok in x_t.tokens]
-    ops, gaps = _backtrace(a, b, eligible)
-    slots: list[tuple[EditOp, int | None]] = []
-    if gaps[0]:
-        slots.append((EditOp.INSERT, gaps[0][0]))
-    else:
-        slots.append((EditOp.KEEP, None))
-    for pos in range(1, len(a) + 1):
-        op, content = ops[pos]
-        if op is EditOp.REPLACE and content == a[pos - 1]:
-            # a random word that landed on its aligned target is already the
-            # right word in the right slot; supervise it as KEEP so the
-            # script never carries a no-op replacement
-            op, content = EditOp.KEEP, None
-        if op is EditOp.KEEP and gaps[pos]:
-            slots.append((EditOp.INSERT, gaps[pos][0]))
+    rows = _lcs_rows(a[::-1], b[::-1], eligible[::-1])
+
+    def cost(i: int, j: int) -> int:
+        r, k = m - i, n - j
+        return r - k + 2 * (rows[r] & ((1 << k) - 1)).bit_count()
+
+    slots: list[tuple[EditOp, int | None]] = [(EditOp.KEEP, None)]
+    i = j = 0
+    while i < m or j < n:
+        if i < m and j < n and eligible[i] and a[i] == b[j]:
+            # a match never costs more than the rest of the alignment
+            slots.append((EditOp.KEEP, None))
+            i, j = i + 1, j + 1
+        elif i < m and j < n and cost(i, j) == cost(i + 1, j + 1) + REPLACE_COST:
+            word = b[j]
+            slots.append((EditOp.KEEP, None) if word == a[i] else (EditOp.REPLACE, word))
+            i, j = i + 1, j + 1
+        elif j < n and cost(i, j) == cost(i, j + 1) + INDEL_COST:
+            if slots[-1][0] is EditOp.KEEP:  # a gap keeps only its first word
+                slots[-1] = (EditOp.INSERT, b[j])
+            j += 1
         else:
-            slots.append((op, content))
+            slots.append((EditOp.DELETE, None))
+            i += 1
     return EditScript(tuple(slots))

@@ -23,7 +23,7 @@ from .metrics import MetricError, contains_in_order, evaluate, write_report
 from .model import (CheckpointError, ModelConfig, ModelError, TrainConfig,
                     load_checkpoint, save_checkpoint, train)
 from .vocab import VocabularyError
-from .world import (Corpus, WorldError, WorldSpec, load_corpus, make_corpus,
+from .world import (Corpus, WorldError, WorldSpec, load_corpus, load_spec, make_corpus,
                     save_corpus)
 
 EXIT_OK = 0
@@ -127,12 +127,7 @@ def parse_pins(text: str, vocab) -> dict[int, int]:
 def cmd_synth(args) -> int:
     cfg = resolve(args, read_config_file(args.config), {"n": 2000, "seed": 0})
     out = Path(args.out)
-    spec = WorldSpec()
-    if args.spec:
-        meta = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        spec = WorldSpec(entities=tuple(meta["entities"]),
-                         attributes=tuple(meta["attributes"]),
-                         relations=tuple(meta["relations"]))
+    spec = load_spec(args.spec) if args.spec else WorldSpec()
     announce_config("synth", {**cfg, "out": str(out)})
     corpus = make_corpus(spec, cfg["n"], cfg["seed"])
     save_corpus(corpus, out)

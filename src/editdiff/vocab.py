@@ -64,11 +64,6 @@ class Vocabulary:
     def save(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
 
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(tuple(lines))
-
 
 def build_vocab(surface_strings) -> Vocabulary:
     """Build a vocabulary from raw words; duplicates collapse, order ignored."""

@@ -211,18 +211,40 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> None:
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
 
 
+def spec_inventories(obj, source: str) -> dict[str, tuple[str, ...]]:
+    """The entity, attribute and relation lists of a parsed JSON object, as
+    ``WorldSpec`` fields; anything but an object holding three lists of
+    strings raises ``WorldError``."""
+    if not isinstance(obj, dict):
+        raise WorldError(f"{source} must hold a JSON object, not {type(obj).__name__}")
+    fields = {}
+    for name in ("entities", "attributes", "relations"):
+        words = obj.get(name)
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise WorldError(f"{source}: {name!r} must be a list of strings")
+        fields[name] = tuple(words)
+    return fields
+
+
+def load_spec(path: str | Path) -> WorldSpec:
+    """A ``WorldSpec`` with the inventories of a JSON spec file."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise WorldError(f"{path}: not JSON: {e}") from None
+    return WorldSpec(**spec_inventories(obj, str(path)))
+
+
 def load_corpus(in_dir: str | Path) -> Corpus:
-    """Read a corpus written by ``save_corpus``; a file that lacks a field or
-    holds the wrong kind of JSON value raises ``WorldError``."""
+    """Read a corpus written by ``save_corpus``; a file that lacks a field,
+    holds the wrong kind of JSON value, or a vocabulary that is not the one
+    the spec builds raises ``WorldError``."""
     in_dir = Path(in_dir)
     meta = json.loads((in_dir / "meta.json").read_text(encoding="utf-8"))
-    if not isinstance(meta, dict):
-        raise WorldError(f"meta.json must hold a JSON object, not {type(meta).__name__}")
+    inventories = spec_inventories(meta, "meta.json")
     try:
         spec = WorldSpec(
-            entities=tuple(meta["entities"]),
-            attributes=tuple(meta["attributes"]),
-            relations=tuple(meta["relations"]),
+            **inventories,
             length_bounds=tuple(meta["length_bounds"]),
             seed=meta["seed"],
         )
@@ -230,7 +252,9 @@ def load_corpus(in_dir: str | Path) -> Corpus:
     except (KeyError, TypeError) as e:
         raise WorldError(f"meta.json needs the spec's fields and the hash: "
                          f"{type(e).__name__} {e}") from None
-    vocab = Vocabulary.load(in_dir / "vocab.txt")
+    vocab = build_world_vocab(spec)
+    if (in_dir / "vocab.txt").read_text(encoding="utf-8").splitlines() != list(vocab.tokens):
+        raise WorldError("vocab.txt is not the vocabulary of the corpus's spec")
     corpus = Corpus(spec, vocab, spec.seed)
     for split in ("train", "val", "test"):
         rows = (in_dir / f"{split}.jsonl").read_text(encoding="utf-8").splitlines()

@@ -5,13 +5,17 @@ the full sum and the no-affine layer norm that the model no longer needs.
 ``unfused_linear`` and ``unfused_layer_norm`` compose them into the
 reference against which the fused ``autodiff.linear`` and
 ``autodiff.layer_norm`` must agree bit for bit.
+
+``reference_weighted_ldist`` and ``reference_align`` are the O(mn) dynamic
+programs that ``align.weighted_ldist`` and ``align.align`` replaced; the
+bit-parallel versions must give equal distances and equal scripts.
 """
 
 import numpy as np
 
 from editdiff import autodiff as ad
 from editdiff.autodiff import ShapeError, Tensor, as_tensor
-from editdiff.edit_ops import EditOp, EditScript
+from editdiff.edit_ops import EditOp, EditScript, Origin
 
 
 def mul(a, b) -> Tensor:
@@ -63,3 +67,80 @@ def unfused_layer_norm(x, gain, bias) -> Tensor:
 
 def all_keep_script(caption_len: int) -> EditScript:
     return EditScript(tuple((EditOp.KEEP, None) for _ in range(caption_len + 1)))
+
+
+def reference_weighted_ldist(a, b) -> int:
+    """Row-by-row DP: INSERT and DELETE cost 1, REPLACE 2, KEEP 0."""
+    a = list(a)
+    b = list(b)
+    m, n = len(a), len(b)
+    prev = list(range(0, n + 1))
+    for i in range(1, m + 1):
+        cur = [i] + [0] * n
+        ai = a[i - 1]
+        for j in range(1, n + 1):
+            diag = prev[j - 1] + (0 if ai == b[j - 1] else 2)
+            cur[j] = min(diag, prev[j] + 1, cur[j - 1] + 1)
+        prev = cur
+    return prev[n]
+
+
+def reference_backtrace(a, b, eligible=None):
+    """Full suffix-cost table, then one walk from the front that prefers
+    KEEP, REPLACE, INSERT, DELETE; returns per-position ops and the words
+    inserted into each gap."""
+    m, n = len(a), len(b)
+    if eligible is None:
+        eligible = [True] * m
+
+    def match(i: int, j: int) -> bool:
+        return eligible[i - 1] and a[i - 1] == b[j - 1]
+
+    cost = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(m + 1):
+        cost[i][n] = m - i
+    for j in range(n + 1):
+        cost[m][j] = n - j
+    for i in range(m - 1, -1, -1):
+        for j in range(n - 1, -1, -1):
+            diag = cost[i + 1][j + 1] + (0 if match(i + 1, j + 1) else 2)
+            cost[i][j] = min(diag, cost[i + 1][j] + 1, cost[i][j + 1] + 1)
+
+    ops: dict[int, tuple[EditOp, object]] = {}
+    gaps: dict[int, list] = {i: [] for i in range(m + 1)}
+    i = j = 0
+    while i < m or j < n:
+        here = cost[i][j]
+        if i < m and j < n and match(i + 1, j + 1) and here == cost[i + 1][j + 1]:
+            ops[i + 1] = (EditOp.KEEP, None)
+            i, j = i + 1, j + 1
+        elif i < m and j < n and here == cost[i + 1][j + 1] + 2:
+            ops[i + 1] = (EditOp.REPLACE, b[j])
+            i, j = i + 1, j + 1
+        elif j < n and here == cost[i][j + 1] + 1:
+            gaps[i].append(b[j])
+            j += 1
+        else:
+            ops[i + 1] = (EditOp.DELETE, None)
+            i += 1
+    return ops, gaps
+
+
+def reference_align(x_t, x_0) -> EditScript:
+    """Slots from ``reference_backtrace``: a gap after a KEEP becomes an
+    INSERT of its first word, and a REPLACE by the word already there is a
+    KEEP."""
+    a = x_t.ids()
+    b = list(x_0)
+    eligible = [tok.origin is Origin.ORIGINAL for tok in x_t.tokens]
+    ops, gaps = reference_backtrace(a, b, eligible)
+    slots = [(EditOp.INSERT, gaps[0][0]) if gaps[0] else (EditOp.KEEP, None)]
+    for pos in range(1, len(a) + 1):
+        op, content = ops[pos]
+        if op is EditOp.REPLACE and content == a[pos - 1]:
+            op, content = EditOp.KEEP, None
+        if op is EditOp.KEEP and gaps[pos]:
+            slots.append((EditOp.INSERT, gaps[pos][0]))
+        else:
+            slots.append((op, content))
+    return EditScript(tuple(slots))

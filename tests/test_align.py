@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from editdiff.align import (
+    _lcs_rows,
     brute_force_min_distance,
     lev_ratio,
     weighted_ldist,
     align,
 )
-from editdiff.edit_ops import CaptionState, EditOp, apply_script
+from editdiff.edit_ops import CaptionState, EditOp, Origin, Token, apply_script
+
+from helpers import reference_align, reference_weighted_ldist
 
 try:
     from hypothesis import given, settings
@@ -181,3 +184,62 @@ def test_align_script_cost_is_minimal_small_cases():
         b = rng.integers(0, 4, size=rng.integers(0, 6)).tolist()
         s = align(_state([x + 2 for x in a]), [x + 2 for x in b])
         assert s.caption_len == len(a)
+
+
+# -- equivalence with the O(mn) dynamic programs ------------------------------
+
+TOKEN_KINDS = {
+    "int": lambda ids: [int(x) for x in ids],
+    "str": lambda ids: [chr(ord("a") + int(x)) for x in ids],
+    "np.int64": lambda ids: list(np.asarray(ids, dtype=np.int64)),
+}
+
+
+def _random_pair(rng, long: bool):
+    """Two id sequences over a 1-9 symbol alphabet (offset past the special
+    ids); long pairs need row masks wider than 64 bits."""
+    lo, hi = (70, 201) if long else (0, 17)
+    alphabet = int(rng.integers(1, 10))
+    a = rng.integers(2, 2 + alphabet, size=rng.integers(lo, hi))
+    b = rng.integers(2, 2 + alphabet, size=rng.integers(lo, hi))
+    return a, b
+
+
+def _cases(seed: int, n_short: int, n_long: int):
+    rng = np.random.default_rng(seed)
+    for case in range(n_short + n_long):
+        yield rng, *_random_pair(rng, long=case >= n_short)
+
+
+def test_lcs_rows_count_prefix_lcs():
+    a, b = list("abcbdab"), list("bdcaba")
+    rows = _lcs_rows(a, b)
+    assert len(rows) == len(a) + 1
+    for r in range(len(a) + 1):
+        for k in range(len(b) + 1):
+            zeros = k - (rows[r] & ((1 << k) - 1)).bit_count()
+            lcs = (r + k - reference_weighted_ldist(a[:r], b[:k])) // 2
+            assert zeros == lcs
+    # an ineligible source symbol matches nothing
+    assert _lcs_rows(["x"], ["x"], eligible=[False]) == [1, 1]
+
+
+@pytest.mark.parametrize("kind", sorted(TOKEN_KINDS))
+def test_weighted_ldist_matches_reference_dp(kind):
+    tokens = TOKEN_KINDS[kind]
+    for _, a, b in _cases(seed=70 + len(kind), n_short=7000, n_long=40):
+        a, b = tokens(a), tokens(b)
+        assert weighted_ldist(a, b) == reference_weighted_ldist(a, b), (a, b)
+
+
+def test_align_matches_reference_scripts():
+    checked = 0
+    for rng, a, b in _cases(seed=71, n_short=20_000, n_long=100):
+        p_random = rng.random()
+        origins = [Origin.RANDOM_WORD if rng.random() < p_random else Origin.ORIGINAL
+                   for _ in a]
+        x_t = CaptionState(tuple(Token(int(i), o) for i, o in zip(a, origins)), step=1)
+        x_0 = TOKEN_KINDS["np.int64" if checked % 2 else "int"](b)
+        assert align(x_t, x_0) == reference_align(x_t, x_0), (a.tolist(), origins, b.tolist())
+        checked += 1
+    assert checked >= 20_000

@@ -171,7 +171,13 @@ def _row_without_caption(d):
                                    encoding="utf-8")
 
 
-@pytest.mark.parametrize("damage", [_meta_as_list, _meta_without_entities, _row_without_caption])
+def _vocab_cut_to_5_lines(d):
+    lines = (d / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    (d / "vocab.txt").write_text("\n".join(lines[:5]) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage", [_meta_as_list, _meta_without_entities, _row_without_caption,
+                                    _vocab_cut_to_5_lines])
 def test_malformed_corpus_is_format_error(tmp_path, capsys, damage):
     corpus_dir = tmp_path / "corpus"
     save_corpus(make_corpus(WorldSpec(), 10, seed=0), corpus_dir)
@@ -180,7 +186,37 @@ def test_malformed_corpus_is_format_error(tmp_path, capsys, damage):
     code = main(["train", "--corpus", str(corpus_dir), "--out", str(out)])
     assert code == EXIT_FORMAT
     assert "format error" in capsys.readouterr().err
+    assert not out.exists()
     assert not Path(str(out) + ".config").exists()
+
+
+SPEC = {"entities": ["cat", "dog"], "attributes": ["red"], "relations": ["tree"]}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"entities": SPEC["entities"]}),                       # missing fields
+    json.dumps([SPEC["entities"], SPEC["attributes"]]),               # not an object
+    '{"entities": ["cat", ',                                          # not JSON
+    json.dumps({**SPEC, "attributes": "red"}),                        # not a list
+    json.dumps({**SPEC, "relations": ["tree", 3]}),                   # not all strings
+])
+def test_synth_malformed_spec_is_format_error(tmp_path, capsys, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text, encoding="utf-8")
+    out = tmp_path / "world"
+    code = main(["synth", "--spec", str(spec), "--n", "5", "--out", str(out)])
+    assert code == EXIT_FORMAT
+    assert "format error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_spec_sets_the_inventories(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC), encoding="utf-8")
+    out = tmp_path / "world"
+    assert main(["synth", "--spec", str(spec), "--n", "5", "--out", str(out)]) == EXIT_OK
+    corpus = load_corpus(out)
+    assert corpus.spec.entities == ("cat", "dog") and corpus.spec.relations == ("tree",)
 
 
 def test_edit_command(trained, tmp_path, capsys):
