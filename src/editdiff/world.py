@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .align import lev_ratio
-from .vocab import Vocabulary, build_vocab, sample_random_word
+from .vocab import PAD, START, Vocabulary, build_vocab, sample_random_word
 
 ENTITIES = (
     "cat", "dog", "bird", "fox", "wolf", "bear", "deer", "owl", "duck",
@@ -213,15 +213,18 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> None:
 
 def spec_inventories(obj, source: str) -> dict[str, tuple[str, ...]]:
     """The entity, attribute and relation lists of a parsed JSON object, as
-    ``WorldSpec`` fields; anything but an object holding three lists of
-    strings raises ``WorldError``."""
+    ``WorldSpec`` fields; anything but an object holding three non-empty
+    lists of distinct words raises ``WorldError``.  A special token is not a
+    word: a caption holding one could never be trained on."""
     if not isinstance(obj, dict):
         raise WorldError(f"{source} must hold a JSON object, not {type(obj).__name__}")
     fields = {}
     for name in ("entities", "attributes", "relations"):
         words = obj.get(name)
-        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-            raise WorldError(f"{source}: {name!r} must be a list of strings")
+        if (not isinstance(words, list) or not words
+                or not all(isinstance(w, str) and w not in (START, PAD) for w in words)
+                or len(set(words)) != len(words)):
+            raise WorldError(f"{source}: {name!r} must be a non-empty list of distinct words")
         fields[name] = tuple(words)
     return fields
 
@@ -241,10 +244,9 @@ def load_corpus(in_dir: str | Path) -> Corpus:
     the spec builds raises ``WorldError``."""
     in_dir = Path(in_dir)
     meta = json.loads((in_dir / "meta.json").read_text(encoding="utf-8"))
-    inventories = spec_inventories(meta, "meta.json")
     try:
         spec = WorldSpec(
-            **inventories,
+            **spec_inventories(meta, "meta.json"),
             length_bounds=tuple(meta["length_bounds"]),
             seed=meta["seed"],
         )

@@ -199,6 +199,9 @@ SPEC = {"entities": ["cat", "dog"], "attributes": ["red"], "relations": ["tree"]
     '{"entities": ["cat", ',                                          # not JSON
     json.dumps({**SPEC, "attributes": "red"}),                        # not a list
     json.dumps({**SPEC, "relations": ["tree", 3]}),                   # not all strings
+    json.dumps({**SPEC, "entities": []}),                             # empty
+    json.dumps({**SPEC, "entities": ["cat", "cat"]}),                 # duplicate word
+    json.dumps({**SPEC, "entities": ["[PAD]", "cat"]}),               # special token
 ])
 def test_synth_malformed_spec_is_format_error(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"
