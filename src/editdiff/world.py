@@ -215,14 +215,16 @@ def spec_inventories(obj, source: str) -> dict[str, tuple[str, ...]]:
     """The entity, attribute and relation lists of a parsed JSON object, as
     ``WorldSpec`` fields; anything but an object holding three non-empty
     lists of distinct words raises ``WorldError``.  A special token is not a
-    word: a caption holding one could never be trained on."""
+    word: a caption holding one could never be trained on.  Nor is an empty
+    string or one holding a line break: ``vocab.txt`` has one word a line."""
     if not isinstance(obj, dict):
         raise WorldError(f"{source} must hold a JSON object, not {type(obj).__name__}")
     fields = {}
     for name in ("entities", "attributes", "relations"):
         words = obj.get(name)
         if (not isinstance(words, list) or not words
-                or not all(isinstance(w, str) and w not in (START, PAD) for w in words)
+                or not all(isinstance(w, str) and w.splitlines() == [w]
+                           and w not in (START, PAD) for w in words)
                 or len(set(words)) != len(words)):
             raise WorldError(f"{source}: {name!r} must be a non-empty list of distinct words")
         fields[name] = tuple(words)
@@ -231,10 +233,7 @@ def spec_inventories(obj, source: str) -> dict[str, tuple[str, ...]]:
 
 def load_spec(path: str | Path) -> WorldSpec:
     """A ``WorldSpec`` with the inventories of a JSON spec file."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise WorldError(f"{path}: not JSON: {e}") from None
+    obj = json.loads(Path(path).read_text(encoding="utf-8"))
     return WorldSpec(**spec_inventories(obj, str(path)))
 
 

@@ -202,6 +202,9 @@ SPEC = {"entities": ["cat", "dog"], "attributes": ["red"], "relations": ["tree"]
     json.dumps({**SPEC, "entities": []}),                             # empty
     json.dumps({**SPEC, "entities": ["cat", "cat"]}),                 # duplicate word
     json.dumps({**SPEC, "entities": ["[PAD]", "cat"]}),               # special token
+    json.dumps({**SPEC, "entities": ["", "cat"]}),                    # empty word
+    json.dumps({**SPEC, "attributes": ["red\nblue"]}),                # line break
+    json.dumps({**SPEC, "relations": ["tree\u2028"]}),                # Unicode line break
 ])
 def test_synth_malformed_spec_is_format_error(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"

@@ -1,16 +1,16 @@
 """Benchmark two checkouts in alternating pairs and write one BENCH record.
 
-    python3 tools/bench_pairs.py --base DIR --change DIR --out BENCH_name.json \\
-        [--workloads align,eval,train] [--pairs 10] [--seed 811] [--seconds 30]
+    python3 tools/bench_pairs.py --base DIR --change DIR --out BENCH_name.json [--seed 811]
 
-Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one
-after the other, with the side that goes first alternating from pair to
-pair.  The result file that each run writes under its checkout's
-``perfbench/out/`` is read back.  The record holds, per workload and side,
-the median and quartiles of every end-to-end metric of ``BENCHMARK.json``
-and of the raw (unscaled) throughput, the number of pairs the change won on
-each, whether every run was correct, and the machine, numpy version and git
-revision of each side.
+For every workload of the change's ``BENCHMARK.json``, each of ten pairs
+runs ``perfbench/run.py --trace 0`` for the benchmark's ``run_seconds`` once
+in each checkout, one after the other, with the side that goes first
+alternating from pair to pair.  The result file that each run writes under
+its checkout's ``perfbench/out/`` is read back.  The record holds, per
+workload and side, the median and quartiles of every end-to-end metric of
+``BENCHMARK.json`` and of the raw (unscaled) throughput, the number of pairs
+the change won on each, whether every run was correct, and the machine,
+numpy version and git revision of each side.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+PAIRS = 10
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -75,26 +77,24 @@ def main(argv=None) -> int:
     p.add_argument("--base", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--workloads", default="align,eval,train")
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=811)
-    p.add_argument("--seconds", type=float, default=30.0)
     args = p.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = spec["end_to_end"]
+    seconds = spec["run_seconds"]
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
-    record = {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
+    record = {"seed": args.seed, "seconds": seconds, "pairs": PAIRS,
               "order": "alternating, base first in odd pairs",
               "revision": {side: revision(path) for side, path in sides.items()},
               "workloads": {}}
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = {"base": [], "change": []}
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for side in order:
-                runs[side].append(run_once(sides[side], workload, args.seed, args.seconds))
-            print(f"{workload} pair {pair + 1}/{args.pairs}: " + ", ".join(
+                runs[side].append(run_once(sides[side], workload, args.seed, seconds))
+            print(f"{workload} pair {pair + 1}/{PAIRS}: " + ", ".join(
                 f"{side} {runs[side][-1]['result']['metrics']['items_per_s']['value']:.1f}"
                 for side in ("base", "change")), flush=True)
         record["machine"] = {side: runs[side][-1]["machine"] for side in runs}
