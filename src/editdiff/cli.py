@@ -12,6 +12,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,8 @@ from .metrics import MetricError, contains_in_order, evaluate, write_report
 from .model import (CheckpointError, ModelConfig, ModelError, TrainConfig,
                     load_checkpoint, save_checkpoint, train)
 from .vocab import VocabularyError
-from .world import (Corpus, WorldError, WorldSpec, load_corpus, load_spec, make_corpus,
-                    save_corpus)
+from .world import (SPLITS, Corpus, WorldError, WorldSpec, load_corpus, load_spec,
+                    make_corpus, save_corpus)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,7 +59,12 @@ def read_config_file(path: str | None) -> dict[str, str]:
 
 
 def resolve(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
-    """Precedence: explicit flags > config file > defaults."""
+    """Precedence: explicit flags > config file > defaults.  A config key
+    that is none of the command's flags is a usage error."""
+    # the namespace holds every flag's dest, plus the subcommand and its handler
+    unknown = sorted(file_cfg.keys() - vars(args).keys() - {"command", "func"})
+    if unknown:
+        raise MetricError(f"unknown config keys: {', '.join(unknown)}")
     effective = {}
     for key, default in defaults.items():
         flag_val = getattr(args, key, None)
@@ -80,10 +86,35 @@ def announce_config(command: str, cfg: dict, log_path: Path | None = None) -> No
         log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def schedule_from(cfg: dict) -> NoiseSchedule:
-    return NoiseSchedule(T=cfg["T"], w_replace=cfg["w_replace"],
-                         w_delete=cfg["w_delete"], w_insert=cfg["w_insert"],
-                         target_len=cfg["target_len"])
+# ModelConfig fields that are not flags: the vocabulary sizes come from the
+# corpus, max_T from the schedule's T, and max_seq_len is fixed
+_NOT_FLAGS = ("vocab_size", "cond_vocab_size", "max_T", "max_seq_len")
+
+
+def field_defaults(cls) -> dict:
+    """The default of each field of a config dataclass that is a flag."""
+    return {f.name: f.default for f in fields(cls) if f.name not in _NOT_FLAGS}
+
+
+def from_fields(cls, cfg: dict, **rest):
+    """A config dataclass holding a run's values of its flag fields."""
+    return cls(**{name: cfg[name] for name in field_defaults(cls)}, **rest)
+
+
+SYNTH_DEFAULTS = {"n": 2000, "seed": 0}
+NOISE_DEMO_DEFAULTS = {**field_defaults(NoiseSchedule), "seed": 0}
+TRAIN_DEFAULTS = {**field_defaults(TrainConfig), **field_defaults(ModelConfig),
+                  **field_defaults(NoiseSchedule)}
+ROLLOUT_DEFAULTS = {"steps": 10, "seed": 0}
+GENERATE_DEFAULTS = {**ROLLOUT_DEFAULTS, "len": 10}
+ABLATE_DEFAULTS = {**ROLLOUT_DEFAULTS, "epochs": 10, "limit": 200}
+
+
+def add_flags(p: argparse.ArgumentParser, defaults: dict) -> None:
+    """One ``--flag`` per key of a defaults table, typed like its default.
+    An unset flag reads None, which ``resolve`` fills in."""
+    for key, default in defaults.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default))
 
 
 def load_corpus_checked(path: str) -> Corpus:
@@ -125,11 +156,14 @@ def parse_pins(text: str, vocab) -> dict[int, int]:
 
 
 def cmd_synth(args) -> int:
-    cfg = resolve(args, read_config_file(args.config), {"n": 2000, "seed": 0})
+    cfg = resolve(args, read_config_file(args.config), SYNTH_DEFAULTS)
     out = Path(args.out)
     spec = load_spec(args.spec) if args.spec else WorldSpec()
     announce_config("synth", {**cfg, "out": str(out)})
-    corpus = make_corpus(spec, cfg["n"], cfg["seed"])
+    try:
+        corpus = make_corpus(spec, cfg["n"], cfg["seed"])
+    except WorldError as e:  # too few or too many scenes asked of a valid spec
+        raise MetricError(str(e)) from None
     save_corpus(corpus, out)
     announce_config("synth", {**cfg, "out": str(out)}, out / "run.config")
     print(f"wrote corpus ({len(corpus.train)}/{len(corpus.val)}/{len(corpus.test)}) to {out}")
@@ -137,8 +171,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_noise_demo(args) -> int:
-    cfg = resolve(args, {}, {"T": 10, "seed": 0, "target_len": 10,
-                             "w_replace": 1.0, "w_delete": 0.0, "w_insert": 0.0})
+    cfg = resolve(args, {}, NOISE_DEMO_DEFAULTS)
+    sch = from_fields(NoiseSchedule, cfg)
     announce_config("noise-demo", {**cfg, "caption": args.caption})
     if args.corpus:
         vocab = load_corpus_checked(args.corpus).vocab
@@ -147,7 +181,6 @@ def cmd_noise_demo(args) -> int:
         vocab = build_world_vocab(WorldSpec())
     words = args.caption.split()
     ids = vocab.encode_all(words)
-    sch = schedule_from(cfg)
     rng = np.random.default_rng(cfg["seed"])
     state = CaptionState.from_ids(ids, step=0)
     print(f"x_0: {' '.join(words)}")
@@ -168,29 +201,13 @@ def cmd_noise_demo(args) -> int:
     return EXIT_OK
 
 
-TRAIN_DEFAULTS = {
-    "epochs": 30, "lr": 1e-3, "batch": 2, "seed": 0, "warmup_frac": 0.05,
-    "p_terminal": 0.5, "p_truncate": 0.15,
-    "embed_dim": 128, "num_layers": 2, "num_heads": 4, "ffn_dim": 256,
-    "T": 10, "target_len": 10,
-    "w_replace": 1.0, "w_delete": 0.0, "w_insert": 0.0,
-}
-
-
 def train_configs(corpus: Corpus, cfg: dict) -> tuple[NoiseSchedule, ModelConfig, TrainConfig]:
     """The schedule, model and training configs of a run, each of which
     validates its values."""
-    sch = schedule_from(cfg)
-    mcfg = ModelConfig(vocab_size=corpus.vocab.size,
-                       cond_vocab_size=corpus.spec.cond_vocab_size,
-                       embed_dim=cfg["embed_dim"], num_layers=cfg["num_layers"],
-                       num_heads=cfg["num_heads"], ffn_dim=cfg["ffn_dim"],
-                       max_T=cfg["T"], seed=cfg["seed"])
-    hyper = TrainConfig(lr=cfg["lr"], epochs=cfg["epochs"], batch=cfg["batch"],
-                        warmup_frac=cfg["warmup_frac"],
-                        p_terminal=cfg["p_terminal"], p_truncate=cfg["p_truncate"],
-                        seed=cfg["seed"])
-    return sch, mcfg, hyper
+    sch = from_fields(NoiseSchedule, cfg)
+    mcfg = from_fields(ModelConfig, cfg, vocab_size=corpus.vocab.size,
+                       cond_vocab_size=corpus.spec.cond_vocab_size, max_T=sch.T)
+    return sch, mcfg, from_fields(TrainConfig, cfg)
 
 
 def train_once(corpus: Corpus, cfg: dict, quiet: bool = False):
@@ -206,7 +223,7 @@ def train_once(corpus: Corpus, cfg: dict, quiet: bool = False):
 def cmd_train(args) -> int:
     cfg = resolve(args, read_config_file(args.config), TRAIN_DEFAULTS)
     corpus = load_corpus_checked(args.corpus)
-    train_configs(corpus, cfg)  # raises on a bad value before any file is written
+    sch, _, hyper = train_configs(corpus, cfg)  # raises before any file is written
     out = Path(args.out)
     announce_config("train", {**cfg, "corpus": args.corpus, "out": str(out)},
                     out.with_suffix(out.suffix + ".config"))
@@ -214,9 +231,8 @@ def cmd_train(args) -> int:
     save_checkpoint(model, out, metadata={
         "epochs": cfg["epochs"], "seed": cfg["seed"],
         "corpus_hash": corpus.content_hash(),
-        "schedule": {k: cfg[k] for k in ("T", "target_len", "w_replace",
-                                         "w_delete", "w_insert")},
-        "sampler": {k: cfg[k] for k in ("p_terminal", "p_truncate")},
+        "schedule": asdict(sch),
+        "sampler": {"p_terminal": hyper.p_terminal, "p_truncate": hyper.p_truncate},
     })
     out.with_suffix(out.suffix + ".log.json").write_text(
         json.dumps(log, indent=2), encoding="utf-8")
@@ -225,7 +241,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_edit(args) -> int:
-    cfg = resolve(args, {}, {"steps": 10, "seed": 0})
+    cfg = resolve(args, {}, ROLLOUT_DEFAULTS)
     corpus = load_corpus_checked(args.corpus)
     model, _ = load_model_checked(args.ckpt, corpus)
     ex = find_example(corpus, args.scene)
@@ -245,7 +261,7 @@ def cmd_edit(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = resolve(args, {}, {"steps": 10, "seed": 0, "len": 10})
+    cfg = resolve(args, {}, GENERATE_DEFAULTS)
     corpus = load_corpus_checked(args.corpus)
     model, _ = load_model_checked(args.ckpt, corpus)
     ex = find_example(corpus, args.scene)
@@ -260,7 +276,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_control(args) -> int:
-    cfg = resolve(args, {}, {"steps": 10, "seed": 0, "len": 10})
+    cfg = resolve(args, {}, GENERATE_DEFAULTS)
     corpus = load_corpus_checked(args.corpus)
     model, _ = load_model_checked(args.ckpt, corpus)
     ex = find_example(corpus, args.scene)
@@ -282,7 +298,7 @@ def cmd_control(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = resolve(args, {}, {"steps": 10, "seed": 0})
+    cfg = resolve(args, {}, ROLLOUT_DEFAULTS)
     corpus = load_corpus_checked(args.corpus)
     model, _ = load_model_checked(args.ckpt, corpus)
     out = Path(args.out)
@@ -307,7 +323,7 @@ ABLATION_DISTRIBUTIONS = {
 def cmd_ablate(args) -> int:
     import csv
 
-    cfg = resolve(args, {}, {"steps": 10, "seed": 0, "epochs": 10, "limit": 200})
+    cfg = resolve(args, {}, ABLATE_DEFAULTS)
     corpus = load_corpus_checked(args.corpus)
     out = Path(args.out)
     announce_config("ablate", {**cfg, "which": args.which, "ckpt_dir": args.ckpt_dir,
@@ -363,29 +379,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--spec", help="JSON file overriding the world inventories")
     p.add_argument("--config")
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
+    add_flags(p, SYNTH_DEFAULTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("noise-demo", help="print a colorized noising trajectory")
     p.add_argument("--caption", required=True)
     p.add_argument("--corpus")
-    p.add_argument("--T", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--target-len", dest="target_len", type=int)
-    p.add_argument("--w-replace", dest="w_replace", type=float)
-    p.add_argument("--w-delete", dest="w_delete", type=float)
-    p.add_argument("--w-insert", dest="w_insert", type=float)
+    add_flags(p, NOISE_DEMO_DEFAULTS)
     p.set_defaults(func=cmd_noise_demo)
 
     p = sub.add_parser("train", help="train a denoiser checkpoint")
     p.add_argument("--corpus", required=True)
     p.add_argument("--config")
     p.add_argument("--out", required=True)
-    for key in TRAIN_DEFAULTS:
-        flag = "--" + key.replace("_", "-")
-        p.add_argument(flag, dest=key, type=type(TRAIN_DEFAULTS[key]))
+    add_flags(p, TRAIN_DEFAULTS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("edit", help="edit a reference caption for a scene")
@@ -393,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--scene", type=int, required=True)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
+    add_flags(p, ROLLOUT_DEFAULTS)
     p.add_argument("--trace")
     p.set_defaults(func=cmd_edit)
 
@@ -402,9 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--scene", type=int, required=True)
-    p.add_argument("--len", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
+    add_flags(p, GENERATE_DEFAULTS)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("control", help="generate with pinned control words")
@@ -413,19 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", type=int, required=True)
     p.add_argument("--pins", required=True)
     p.add_argument("--mode", choices=["hard", "soft"], default="hard")
-    p.add_argument("--len", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
+    add_flags(p, GENERATE_DEFAULTS)
     p.set_defaults(func=cmd_control)
 
     p = sub.add_parser("eval", help="run an evaluation mode and emit a report")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--mode", required=True)
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--limit", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
+    add_flags(p, ROLLOUT_DEFAULTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -433,10 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=["rw-count", "edit-dist"], required=True)
     p.add_argument("--ckpt-dir", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--limit", type=int)
+    add_flags(p, ABLATE_DEFAULTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 

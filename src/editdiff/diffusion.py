@@ -45,7 +45,7 @@ def sample_denoising_example(x0, sch: NoiseSchedule, vocab: Vocabulary,
     x0 = list(x0)
     if not x0:
         raise EditError("cannot noise an empty caption")
-    if p_terminal < 0 or p_truncate < 0 or p_terminal + p_truncate > 1:
+    if not (p_terminal >= 0 and p_truncate >= 0 and p_terminal + p_truncate <= 1):  # NaN fails
         raise EditError("branch probabilities must be non-negative and sum <= 1")
     mid_hi = max(sch.T, 2)  # t range 1..T-1, degenerating to t=1 when T=1
     u = rng.random()

@@ -176,8 +176,8 @@ class NoiseSchedule:
         if self.T < 1:
             raise EditError("schedule needs T >= 1")
         ws = (self.w_replace, self.w_delete, self.w_insert)
-        if any(w < 0 for w in ws):
-            raise EditError("edit-type weights must be non-negative")
+        if not all(0 <= w <= 1 for w in ws):  # NaN fails the comparison too
+            raise EditError("edit-type weights must be finite and in [0, 1]")
         if sum(ws) <= 0:
             raise EditError("edit-type weights must not all be zero")
         if sum(ws) > 1 + 1e-12:

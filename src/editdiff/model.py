@@ -52,7 +52,7 @@ class ModelConfig:
     num_layers: int = 2
     num_heads: int = 4
     ffn_dim: int = 256
-    max_T: int = 10
+    max_T: int = NoiseSchedule.T  # time steps the model embeds; a run sets its schedule's T
     max_seq_len: int = 48
     seed: int = 0
 
@@ -138,31 +138,25 @@ class DenoiserModel:
     def _linear(self, x: Tensor, prefix: str, w: str = "w", b: str = "b") -> Tensor:
         return ad.linear(x, self.params[f"{prefix}.{w}"], self.params[f"{prefix}.{b}"])
 
-    def _attention(self, x: Tensor, layer: int, layout: _Layout | None) -> Tensor:
+    def _attention(self, x: Tensor, layer: int, layout: _Layout) -> Tensor:
         pre = f"layers.{layer}.attn"
         cfg = self.cfg
         heads, dh = cfg.num_heads, cfg.embed_dim // cfg.num_heads
-        if layout is None:  # one sequence: its rows are already in order
-            batch, length = 1, x.shape[0]
-        else:
-            batch, length = layout.shape
+        batch, length = layout.shape
 
         def project(w: str, axes) -> Tensor:  # x W + b as [B, L, H, dh], then permuted
-            a = self._linear(x, pre, f"w{w}", f"b{w}")
-            if layout is not None:
-                a = ad.scatter_rows(a, layout.back, batch * length)
+            a = ad.scatter_rows(self._linear(x, pre, f"w{w}", f"b{w}"), layout.back,
+                                batch * length)
             return ad.transpose(ad.reshape(a, (batch, length, heads, dh)), axes)
 
         # each intermediate is consumed as soon as it is made, so that with
         # no tape the rollout batch holds few [N, d]-sized buffers at once
         attn = ad.scale(ad.matmul(project("q", (0, 2, 1, 3)), project("k", (0, 2, 3, 1))),
                         1.0 / math.sqrt(dh))
-        if layout is not None:
-            attn = ad.add(attn, Tensor(layout.key_bias))
+        attn = ad.add(attn, Tensor(layout.key_bias))
         attn = ad.matmul(ad.softmax(attn), project("v", (0, 2, 1, 3)))
         attn = ad.reshape(ad.transpose(attn, (0, 2, 1, 3)), (batch * length, cfg.embed_dim))
-        if layout is not None:
-            attn = ad.take_rows(attn, layout.back)
+        attn = ad.take_rows(attn, layout.back)
         return self._linear(attn, pre, "wo", "bo")
 
     def _ffn(self, x: Tensor, layer: int) -> Tensor:
@@ -183,8 +177,6 @@ class DenoiserModel:
         word_x = ad.add(ad.add(ad.scale(ad.gather(self.params["word_emb"], word_ids), emb_gain),
                                Tensor(self.pos_table[_ranges(word_lens)] + time_rows)),
                         ad.gather(seg, [1]))
-        if not cond_lens.sum():
-            return word_x
         cond_ids = np.array([i for cond in conditions for i in cond], dtype=np.int64)
         cond_x = ad.add(ad.add(ad.scale(ad.gather(self.params["cond_emb"], cond_ids), emb_gain),
                                Tensor(self.pos_table[_ranges(cond_lens)])),
@@ -222,7 +214,7 @@ class DenoiserModel:
         word_lens = np.array([len(c) + 1 for c in captions], dtype=np.int64)
 
         x = self._embed(conditions, captions, ts, cond_lens, word_lens)
-        layout = None if len(captions) == 1 else _Layout(cond_lens, word_lens)
+        layout = _Layout(cond_lens, word_lens)
         for i in range(cfg.num_layers):
             x = ad.add(x, self._attention(self._ln(x, f"layers.{i}.ln1"), i, layout))
             x = ad.add(x, self._ffn(self._ln(x, f"layers.{i}.ln2"), i))
@@ -341,7 +333,6 @@ class TrainConfig:
     p_terminal: float = 0.5
     p_truncate: float = 0.15
     seed: int = 0
-    holdout_cap: int = 50
 
     def __post_init__(self):
         for name in ("batch", "epochs"):
@@ -351,8 +342,15 @@ class TrainConfig:
             raise ModelError(f"lr must be finite and positive, got {self.lr}")
         if not 0 <= self.warmup_frac <= 1:
             raise ModelError(f"warmup_frac must be in [0, 1], got {self.warmup_frac}")
-        if self.holdout_cap < 0:
-            raise ModelError(f"holdout_cap must be non-negative, got {self.holdout_cap}")
+        # written so that NaN fails every comparison and is rejected
+        if not (self.p_terminal >= 0 and self.p_truncate >= 0
+                and self.p_terminal + self.p_truncate <= 1):
+            raise ModelError(f"p_terminal and p_truncate must be non-negative with a sum of "
+                             f"at most 1, got {self.p_terminal} and {self.p_truncate}")
+
+
+# validation scenes rolled out after each epoch for the logged exact match
+HOLDOUT_CAP = 50
 
 
 def lr_at(step: int, total_steps: int, hyper: TrainConfig) -> float:
@@ -422,8 +420,7 @@ def train(corpus, sch: NoiseSchedule, cfg: ModelConfig, hyper: TrainConfig,
                     p.grad = np.zeros_like(p.data)
             adam.step(lr=lr_at(opt_step, total_steps, hyper))
             opt_step += 1
-        em = holdout_exact_match(model, corpus.val, sch, vocab, rng,
-                                 cap=hyper.holdout_cap)
+        em = holdout_exact_match(model, corpus.val, sch, vocab, rng, cap=HOLDOUT_CAP)
         row = {
             "epoch": epoch,
             "loss_edit": edit_sum / n,

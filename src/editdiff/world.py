@@ -42,6 +42,9 @@ RELATIONS = (
 GLUE = ("the", "sits", "near", "and")
 
 
+SPLITS = ("train", "val", "test")
+
+
 class WorldError(ValueError):
     pass
 
@@ -52,7 +55,6 @@ class WorldSpec:
     attributes: tuple[str, ...] = ATTRIBUTES
     relations: tuple[str, ...] = RELATIONS
     length_bounds: tuple[int, int] = (6, 12)
-    seed: int = 0
 
     @property
     def cond_vocab_size(self) -> int:
@@ -144,7 +146,7 @@ class Corpus:
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
-        for split in ("train", "val", "test"):
+        for split in SPLITS:
             for ex in self.split(split):
                 h.update(_example_line(ex).encode("utf-8"))
                 h.update(b"\n")
@@ -194,7 +196,7 @@ def _example_line(ex: Example) -> str:
 def save_corpus(corpus: Corpus, out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for split in ("train", "val", "test"):
+    for split in SPLITS:
         with open(out_dir / f"{split}.jsonl", "w", encoding="utf-8") as f:
             for ex in corpus.split(split):
                 f.write(_example_line(ex) + "\n")
@@ -247,17 +249,16 @@ def load_corpus(in_dir: str | Path) -> Corpus:
         spec = WorldSpec(
             **spec_inventories(meta, "meta.json"),
             length_bounds=tuple(meta["length_bounds"]),
-            seed=meta["seed"],
         )
-        recorded_hash = meta["hash"]
+        seed, recorded_hash = meta["seed"], meta["hash"]
     except (KeyError, TypeError) as e:
         raise WorldError(f"meta.json needs the spec's fields and the hash: "
                          f"{type(e).__name__} {e}") from None
     vocab = build_world_vocab(spec)
     if (in_dir / "vocab.txt").read_text(encoding="utf-8").splitlines() != list(vocab.tokens):
         raise WorldError("vocab.txt is not the vocabulary of the corpus's spec")
-    corpus = Corpus(spec, vocab, spec.seed)
-    for split in ("train", "val", "test"):
+    corpus = Corpus(spec, vocab, seed)
+    for split in SPLITS:
         rows = (in_dir / f"{split}.jsonl").read_text(encoding="utf-8").splitlines()
         for line, row in enumerate(rows, 1):
             obj = json.loads(row)

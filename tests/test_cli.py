@@ -103,6 +103,31 @@ def test_noise_demo_unknown_word_is_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_noise_demo_nan_weight_is_usage_error(capsys):
+    assert main(["noise-demo", "--caption", "the cat", "--w-replace", "nan"]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_synth_too_few_scenes_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "world"
+    assert main(["synth", "--n", "2", "--out", str(out)]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_unknown_config_key_is_usage_error(trained, tmp_path, capsys, command):
+    corpus_dir, _ = trained
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=1\nepoch=5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    flags = ["--corpus", str(corpus_dir)] if command == "train" else []
+    code = main([command, "--config", str(cfg), "--out", str(out)] + flags)
+    assert code == EXIT_USAGE
+    assert "unknown config keys: epoch" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A small corpus plus a CLI-trained tiny checkpoint, shared by command tests."""
@@ -132,6 +157,16 @@ def test_train_is_bit_reproducible(trained, tmp_path):
     assert again.read_bytes() == ckpt.read_bytes()
 
 
+def test_train_config_file_reproduces_the_run(trained, tmp_path):
+    # the logged config holds corpus= and out= as well; both are accepted
+    corpus_dir, ckpt = trained
+    again = tmp_path / "again.ckpt"
+    code = main(["train", "--config", str(ckpt) + ".config", "--corpus", str(corpus_dir),
+                 "--out", str(again)])
+    assert code == EXIT_OK
+    assert again.read_bytes() == ckpt.read_bytes()
+
+
 def test_train_missing_corpus_is_io_error(tmp_path, capsys):
     code = main(["train", "--corpus", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "m.ckpt")])
@@ -141,7 +176,11 @@ def test_train_missing_corpus_is_io_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [["--batch", "0"], ["--batch", "-1"], ["--epochs", "0"],
                                    ["--epochs", "-1"], ["--lr", "0"], ["--lr", "nan"],
-                                   ["--warmup-frac", "2"]])
+                                   ["--warmup-frac", "2"], ["--p-terminal", "2"],
+                                   ["--p-terminal", "nan"], ["--p-truncate", "-0.1"],
+                                   ["--p-terminal", "0.9", "--p-truncate", "0.2"],
+                                   ["--w-replace", "nan"],
+                                   ["--w-replace", "0.9", "--w-insert", "0.2"]])
 def test_train_bad_hyperparameter_is_usage_error(trained, tmp_path, capsys, flags):
     corpus_dir, _ = trained
     out = tmp_path / "m.ckpt"
@@ -299,6 +338,15 @@ def test_eval_bad_mode_is_usage_error(trained, tmp_path):
     code = main(["eval", "--ckpt", str(ckpt), "--corpus", str(corpus_dir),
                  "--mode", "weird", "--out", str(tmp_path / "r.json")])
     assert code == EXIT_USAGE
+
+
+def test_eval_unknown_split_is_usage_error(trained, tmp_path):
+    corpus_dir, ckpt = trained
+    with pytest.raises(SystemExit) as exit_info:  # argparse rejects it with exit 2
+        main(["eval", "--ckpt", str(ckpt), "--corpus", str(corpus_dir), "--mode", "random:10",
+              "--split", "foo", "--out", str(tmp_path / "r.json")])
+    assert exit_info.value.code == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags", [["--mode", "ood:1.5"], ["--mode", "ood:nan"],

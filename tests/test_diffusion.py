@@ -97,6 +97,10 @@ def test_sample_denoising_example_validation():
                                  p_truncate=0.2)
     with pytest.raises(EditError):
         sample_denoising_example([2, 3], SCH, VOCAB, rng, p_terminal=-0.1)
+    with pytest.raises(EditError):
+        sample_denoising_example([2, 3], SCH, VOCAB, rng, p_terminal=float("nan"))
+    with pytest.raises(EditError):
+        sample_denoising_example([2, 3], SCH, VOCAB, rng, p_truncate=float("nan"))
 
 
 def test_sample_denoising_example_single_word_caption():

@@ -125,6 +125,10 @@ def test_schedule_validation():
     with pytest.raises(EditError):
         NoiseSchedule(w_replace=-0.1)
     with pytest.raises(EditError):
+        NoiseSchedule(w_replace=float("nan"))
+    with pytest.raises(EditError):
+        NoiseSchedule(w_delete=float("nan"))
+    with pytest.raises(EditError):
         NoiseSchedule(w_replace=0.0, w_delete=0.0, w_insert=0.0)
     with pytest.raises(EditError):
         NoiseSchedule(w_replace=0.9, w_delete=0.2, w_insert=0.2)

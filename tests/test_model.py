@@ -174,7 +174,7 @@ def test_train_single_epoch_logs_and_determinism():
     cfg = ModelConfig(vocab_size=corpus.vocab.size,
                       cond_vocab_size=corpus.spec.cond_vocab_size,
                       embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32, seed=3)
-    hyper = TrainConfig(epochs=1, batch=4, seed=5, holdout_cap=2)
+    hyper = TrainConfig(epochs=1, batch=4, seed=5)
     m1, log1 = train(corpus, sch, cfg, hyper)
     m2, log2 = train(corpus, sch, cfg, hyper)
     assert len(log1) == 1
@@ -402,11 +402,13 @@ def test_train_config_validation():
     for bad in ({"batch": 0}, {"batch": -1}, {"epochs": 0}, {"epochs": -1}, {"lr": 0.0},
                 {"lr": -1e-3}, {"lr": float("nan")}, {"lr": float("inf")},
                 {"warmup_frac": 2.0}, {"warmup_frac": -0.1}, {"warmup_frac": float("nan")},
-                {"holdout_cap": -1}):
+                {"p_terminal": 2.0}, {"p_terminal": -0.1}, {"p_terminal": float("nan")},
+                {"p_truncate": -0.1}, {"p_truncate": float("nan")},
+                {"p_truncate": float("inf")}, {"p_terminal": 0.9, "p_truncate": 0.2}):
         with pytest.raises(ModelError):
             TrainConfig(**bad)
-    TrainConfig(batch=1, epochs=1, warmup_frac=0.0, holdout_cap=0)
-    TrainConfig(warmup_frac=1.0)
+    TrainConfig(batch=1, epochs=1, warmup_frac=0.0)
+    TrainConfig(warmup_frac=1.0, p_terminal=0.0, p_truncate=1.0)
 
 
 def test_packed_forward_validates_batch():

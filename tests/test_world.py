@@ -110,6 +110,8 @@ def test_corpus_save_load_round_trip(tmp_path):
     assert loaded.content_hash() == corpus.content_hash()
     assert loaded.vocab == corpus.vocab
     assert loaded.train == corpus.train
+    assert loaded.spec == corpus.spec
+    assert loaded.seed == corpus.seed == 1
 
 
 def test_load_detects_tampering(tmp_path):
