@@ -5,9 +5,13 @@ fixed topological order, so single-threaded runs are bit-reproducible: each
 node drops its parents and its backward closure as soon as it has passed its
 gradient on, so the graph is freed while backward runs and a graph can be
 differentiated only once.  Tensors the caller still holds keep their
-``.grad``.  Inside ``no_grad()`` no tape is built at all.  Only the
-primitives the denoiser needs are implemented; shapes are checked eagerly
-and errors name the offending op.
+``.grad``.  Inside ``no_grad()`` no tape is built at all.  Only the nodes
+the denoiser needs are implemented; shapes are checked eagerly and errors
+name the offending op.  ``linear``, ``layer_norm`` and ``attention`` are
+each one node for a whole block (an affine map, a layer norm with its gain
+and bias, multi-head attention over padded sequences).  Each repeats the
+numpy calls of the chain of primitive nodes it stands for, so it gives that
+chain's bits with fewer tape nodes.
 
 Gradients are not copied on the way: a tensor's first gradient becomes its
 ``.grad`` as it is handed over, and may be shared with another tensor (``add``
@@ -19,6 +23,7 @@ allocated itself for a second gradient.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -117,23 +122,6 @@ def scale(a, factor: float) -> Tensor:
     return Tensor(a.data * factor, parents=(a,), backward=bwd)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    try:
-        out_data = a.data @ b.data
-    except ValueError:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
-
-    def bwd(g, a=a, b=b):
-        a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
-
-    return Tensor(out_data, parents=(a, b), backward=bwd)
-
-
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` for a 2-D ``x`` as one node; the bias gradient is the
     column sum of the output gradient."""
@@ -152,26 +140,6 @@ def linear(x, w, b) -> Tensor:
     return Tensor(out_data, parents=(x, w, b), backward=bwd)
 
 
-def transpose(a, axes=None) -> Tensor:
-    """Permute axes (reverse them by default, as ``np.transpose``)."""
-    a = as_tensor(a)
-    inverse = None if axes is None else tuple(np.argsort(axes))
-
-    def bwd(g, a=a, inverse=inverse):
-        a._accum(np.transpose(g, inverse))
-
-    return Tensor(np.transpose(a.data, axes), parents=(a,), backward=bwd)
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-
-    def bwd(g, a=a):
-        a._accum(g.reshape(a.data.shape))
-
-    return Tensor(a.data.reshape(shape), parents=(a,), backward=bwd)
-
-
 def silu(a) -> Tensor:
     """x * sigmoid(x); smooth, so finite-difference checks stay clean."""
     a = as_tensor(a)
@@ -187,19 +155,6 @@ def silu(a) -> Tensor:
         a._accum(g * sig * (1.0 + a.data * (1.0 - sig)))
 
     return Tensor(out_data, parents=(a,), backward=bwd)
-
-
-def softmax(a) -> Tensor:
-    """Softmax over the last axis."""
-    a = as_tensor(a)
-    y = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
-    y /= y.sum(axis=-1, keepdims=True)
-
-    def bwd(g, a=a, y=y):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        a._accum(y * (g - dot))
-
-    return Tensor(y, parents=(a,), backward=bwd)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -227,6 +182,64 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return Tensor(out_data, parents=(x, gain, bias), backward=bwd)
 
 
+def attention(q, k, v, back, key_bias, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over ragged sequences, as one
+    node.
+
+    ``q``, ``k`` and ``v`` are packed ``[N, d]`` rows.  Row n sits at flat
+    position ``back[n]`` (distinct) of B zero-padded sequences of length L,
+    and ``key_bias`` of shape ``[B, 1, 1, L]`` is added to every head's
+    scores, so a large negative entry masks a padded key.  Each of the
+    ``heads`` heads attends over ``d / heads`` columns; the result holds the
+    merged heads of the N rows.  A key bias as large and negative as the
+    model's -1e9 gives a masked key softmax weight exactly 0.0, so padded
+    keys add nothing to the result.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    back = np.asarray(back, dtype=np.int64)
+    key_bias = np.asarray(key_bias, dtype=np.float64)
+    positions = key_bias.shape[0] * key_bias.shape[-1] if key_bias.ndim == 4 else 0
+    if (q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape
+            or back.shape != q.shape[:1] or heads < 1 or q.shape[1] % heads
+            or key_bias.ndim != 4 or key_bias.shape[1:3] != (1, 1)
+            or not np.all((back >= 0) & (back < positions))):
+        raise ShapeError(f"attention: incompatible shapes {q.shape}, {k.shape} and {v.shape}, "
+                         f"positions {back.shape} and key bias {key_bias.shape} for {heads} heads")
+    batch, length, d = key_bias.shape[0], key_bias.shape[3], q.shape[1]
+    dh = d // heads
+    factor = 1.0 / math.sqrt(dh)
+
+    # the numpy calls, and their order, are those of the chain of primitive
+    # nodes this node replaced: rows scattered into zero padding, reshaped
+    # and permuted into heads, q k^T, scaled, masked, softmax, times v, and
+    # the heads merged and the rows taken back; backward mirrors each step
+    def heads_of(rows, axes):  # rows_of undoes it; each is the other's backward
+        padded = np.zeros((batch * length, d))
+        padded[back] = rows
+        return np.transpose(padded.reshape((batch, length, heads, dh)), axes)
+
+    def rows_of(a, axes):
+        return np.transpose(a, axes).reshape((batch * length, d))[back]
+
+    qh, kh = heads_of(q.data, (0, 2, 1, 3)), heads_of(k.data, (0, 2, 3, 1))
+    scores = (qh @ kh) * factor + key_bias
+    y = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    y /= y.sum(axis=-1, keepdims=True)
+    vh = heads_of(v.data, (0, 2, 1, 3))
+    out_data = rows_of(y @ vh, (0, 2, 1, 3))
+
+    def bwd(g, q=q, k=k, v=v, qh=qh, kh=kh, y=y, vh=vh):
+        g = heads_of(g, (0, 2, 1, 3))
+        gy = g @ np.swapaxes(vh, -1, -2)
+        gv = np.swapaxes(y, -1, -2) @ g
+        gs = y * (gy - (gy * y).sum(axis=-1, keepdims=True)) * factor
+        q._accum(rows_of(gs @ np.swapaxes(kh, -1, -2), (0, 2, 1, 3)))
+        k._accum(rows_of(np.swapaxes(qh, -1, -2) @ gs, (0, 3, 1, 2)))
+        v._accum(rows_of(gv, (0, 2, 1, 3)))
+
+    return Tensor(out_data, parents=(q, k, v), backward=bwd)
+
+
 def gather(table, ids) -> Tensor:
     """Rows of ``table`` (along its first axis) selected by an integer array of
     any shape; the result has shape ``ids.shape + table.shape[1:]``."""
@@ -241,21 +254,6 @@ def gather(table, ids) -> Tensor:
         t._accum(buf)
 
     return Tensor(table.data[ids], parents=(table,), backward=bwd)
-
-
-def scatter_rows(a, ids, n: int) -> Tensor:
-    """An ``[n, ...]`` tensor whose row ``ids[i]`` is row i of ``a`` and whose
-    other rows are zero.  ``ids`` must be distinct.  ``take_rows`` with the
-    same ids undoes it, and each one's backward is the other's forward."""
-    a = as_tensor(a)
-    ids = np.asarray(ids, dtype=np.int64)
-    out = np.zeros((n,) + a.data.shape[1:])
-    out[ids] = a.data
-
-    def bwd(g, a=a, ids=ids):
-        a._accum(g[ids])
-
-    return Tensor(out, parents=(a,), backward=bwd)
 
 
 def take_rows(a, ids) -> Tensor:

@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .align import lev_ratio
-from .diffusion import denoise_loop, make_random_sequence, place_pins, trace_to_jsonl_rows
-from .edit_ops import CaptionState, EditError, EditOp, NoiseSchedule, Origin, sample_noising_step
+from .diffusion import (denoise_loop, make_random_sequence, noising_chain, place_pins,
+                        trace_to_jsonl_rows)
+from .edit_ops import CaptionState, EditError, EditOp, NoiseSchedule, Origin
 from .metrics import MetricError, contains_in_order, evaluate, write_report
 from .model import (CheckpointError, ModelConfig, ModelError, TrainConfig,
                     load_checkpoint, save_checkpoint, train)
@@ -58,11 +59,16 @@ def read_config_file(path: str | None) -> dict[str, str]:
     return out
 
 
+# required flags that a command logs beside its settings; a logged config
+# file may hold them, and the command's own flags win
+_LOGGED_FLAGS = {"corpus", "out"}
+
+
 def resolve(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
     """Precedence: explicit flags > config file > defaults.  A config key
-    that is none of the command's flags is a usage error."""
-    # the namespace holds every flag's dest, plus the subcommand and its handler
-    unknown = sorted(file_cfg.keys() - vars(args).keys() - {"command", "func"})
+    that is neither in the defaults table nor a logged flag of the command is
+    a usage error."""
+    unknown = sorted(file_cfg.keys() - defaults.keys() - (_LOGGED_FLAGS & vars(args).keys()))
     if unknown:
         raise MetricError(f"unknown config keys: {', '.join(unknown)}")
     effective = {}
@@ -105,8 +111,8 @@ SYNTH_DEFAULTS = {"n": 2000, "seed": 0}
 NOISE_DEMO_DEFAULTS = {**field_defaults(NoiseSchedule), "seed": 0}
 TRAIN_DEFAULTS = {**field_defaults(TrainConfig), **field_defaults(ModelConfig),
                   **field_defaults(NoiseSchedule)}
-ROLLOUT_DEFAULTS = {"steps": 10, "seed": 0}
-GENERATE_DEFAULTS = {**ROLLOUT_DEFAULTS, "len": 10}
+ROLLOUT_DEFAULTS = {"steps": NoiseSchedule.T, "seed": 0}
+GENERATE_DEFAULTS = {**ROLLOUT_DEFAULTS, "len": NoiseSchedule.target_len}
 ABLATE_DEFAULTS = {**ROLLOUT_DEFAULTS, "epochs": 10, "limit": 200}
 
 
@@ -115,12 +121,6 @@ def add_flags(p: argparse.ArgumentParser, defaults: dict) -> None:
     An unset flag reads None, which ``resolve`` fills in."""
     for key, default in defaults.items():
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default))
-
-
-def load_corpus_checked(path: str) -> Corpus:
-    if not Path(path).is_dir():
-        raise FileNotFoundError(f"corpus directory not found: {path}")
-    return load_corpus(path)
 
 
 def load_model_checked(ckpt: str, corpus: Corpus):
@@ -175,17 +175,16 @@ def cmd_noise_demo(args) -> int:
     sch = from_fields(NoiseSchedule, cfg)
     announce_config("noise-demo", {**cfg, "caption": args.caption})
     if args.corpus:
-        vocab = load_corpus_checked(args.corpus).vocab
+        vocab = load_corpus(args.corpus).vocab
     else:
         from .world import build_world_vocab
         vocab = build_world_vocab(WorldSpec())
     words = args.caption.split()
     ids = vocab.encode_all(words)
     rng = np.random.default_rng(cfg["seed"])
-    state = CaptionState.from_ids(ids, step=0)
+    chain = noising_chain(CaptionState.from_ids(ids, step=0), sch, vocab, rng, sch.T)
     print(f"x_0: {' '.join(words)}")
-    for t in range(1, sch.T + 1):
-        script, state = sample_noising_step(state, sch, t, vocab, rng)
+    for t, (script, state) in enumerate(chain, 1):
         rendered = []
         for tok in state.tokens:
             word = vocab.decode(tok.id)
@@ -222,7 +221,7 @@ def train_once(corpus: Corpus, cfg: dict, quiet: bool = False):
 
 def cmd_train(args) -> int:
     cfg = resolve(args, read_config_file(args.config), TRAIN_DEFAULTS)
-    corpus = load_corpus_checked(args.corpus)
+    corpus = load_corpus(args.corpus)
     sch, _, hyper = train_configs(corpus, cfg)  # raises before any file is written
     out = Path(args.out)
     announce_config("train", {**cfg, "corpus": args.corpus, "out": str(out)},
@@ -242,7 +241,7 @@ def cmd_train(args) -> int:
 
 def cmd_edit(args) -> int:
     cfg = resolve(args, {}, ROLLOUT_DEFAULTS)
-    corpus = load_corpus_checked(args.corpus)
+    corpus = load_corpus(args.corpus)
     model, _ = load_model_checked(args.ckpt, corpus)
     ex = find_example(corpus, args.scene)
     announce_config("edit", {**cfg, "ckpt": args.ckpt, "scene": args.scene,
@@ -262,7 +261,7 @@ def cmd_edit(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = resolve(args, {}, GENERATE_DEFAULTS)
-    corpus = load_corpus_checked(args.corpus)
+    corpus = load_corpus(args.corpus)
     model, _ = load_model_checked(args.ckpt, corpus)
     ex = find_example(corpus, args.scene)
     announce_config("generate", {**cfg, "ckpt": args.ckpt, "scene": args.scene})
@@ -277,7 +276,7 @@ def cmd_generate(args) -> int:
 
 def cmd_control(args) -> int:
     cfg = resolve(args, {}, GENERATE_DEFAULTS)
-    corpus = load_corpus_checked(args.corpus)
+    corpus = load_corpus(args.corpus)
     model, _ = load_model_checked(args.ckpt, corpus)
     ex = find_example(corpus, args.scene)
     announce_config("control", {**cfg, "ckpt": args.ckpt, "scene": args.scene,
@@ -299,7 +298,7 @@ def cmd_control(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = resolve(args, {}, ROLLOUT_DEFAULTS)
-    corpus = load_corpus_checked(args.corpus)
+    corpus = load_corpus(args.corpus)
     model, _ = load_model_checked(args.ckpt, corpus)
     out = Path(args.out)
     announce_config("eval", {**cfg, "ckpt": args.ckpt, "mode": args.mode,
@@ -324,7 +323,7 @@ def cmd_ablate(args) -> int:
     import csv
 
     cfg = resolve(args, {}, ABLATE_DEFAULTS)
-    corpus = load_corpus_checked(args.corpus)
+    corpus = load_corpus(args.corpus)
     out = Path(args.out)
     announce_config("ablate", {**cfg, "which": args.which, "ckpt_dir": args.ckpt_dir,
                                "out": str(out)},
@@ -451,7 +450,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as e:
+    except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
     except (CheckpointError, WorldError, json.JSONDecodeError) as e:

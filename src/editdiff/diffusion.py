@@ -11,18 +11,26 @@ from .edit_ops import (CaptionState, EditError, EditOp, EditScript, NoiseSchedul
 from .vocab import Vocabulary, sample_random_word
 
 
+def noising_chain(x0: CaptionState, sch: NoiseSchedule, vocab: Vocabulary,
+                  rng: np.random.Generator, steps: int) -> list[tuple[EditScript, CaptionState]]:
+    """Run the forward chain from a clean state x_0 for ``steps`` steps;
+    returns (script, x_t) for t = 1 .. steps."""
+    chain = []
+    state = x0
+    for t in range(1, steps + 1):
+        script, state = sample_noising_step(state, sch, t, vocab, rng)
+        chain.append((script, state))
+    return chain
+
+
 def noise_trajectory(x0, sch: NoiseSchedule, vocab: Vocabulary,
                      rng: np.random.Generator) -> list[CaptionState]:
     """Run the forward chain from a clean caption; returns states x_0 .. x_T."""
     x0 = list(x0)
     if not x0:
         raise EditError("cannot noise an empty caption")
-    state = CaptionState.from_ids(x0, step=0)
-    states = [state]
-    for t in range(1, sch.T + 1):
-        _, state = sample_noising_step(state, sch, t, vocab, rng)
-        states.append(state)
-    return states
+    start = CaptionState.from_ids(x0, step=0)
+    return [start] + [state for _, state in noising_chain(start, sch, vocab, rng, sch.T)]
 
 
 def sample_denoising_example(x0, sch: NoiseSchedule, vocab: Vocabulary,
@@ -60,14 +68,12 @@ def sample_denoising_example(x0, sch: NoiseSchedule, vocab: Vocabulary,
         # trajectory at the already-drawn t
     else:
         t = int(rng.integers(1, mid_hi))
-    state = CaptionState.from_ids(x0, step=0)
-    for s in range(1, t + 1):
-        _, state = sample_noising_step(state, sch, s, vocab, rng)
+    _, state = noising_chain(CaptionState.from_ids(x0, step=0), sch, vocab, rng, t)[-1]
     return state, t
 
 
 def make_random_sequence(n: int, vocab: Vocabulary, rng: np.random.Generator,
-                         step: int = 10) -> CaptionState:
+                         step: int = NoiseSchedule.T) -> CaptionState:
     """All-random-word caption of length n, the generation starting point."""
     if n < 1:
         raise EditError("random sequence length must be >= 1")

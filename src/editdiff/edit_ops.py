@@ -97,19 +97,19 @@ class EditScript:
         return len(self.slots) - 1
 
 
-def apply_script(c: CaptionState, s: EditScript, decrement_step: bool,
-                 content_origin: Origin = Origin.ORIGINAL) -> CaptionState:
+def apply_script(c: CaptionState, s: EditScript, decrement_step: bool) -> CaptionState:
     """Apply a script left-to-right to produce the next caption.
 
-    ``decrement_step`` marks the denoising direction (step goes down, content
-    words are real words); noising bookkeeping increments the step instead.
+    ``decrement_step`` marks the denoising direction (step goes down);
+    noising bookkeeping increments the step instead.  The words a script
+    writes are tagged original; the noising sampler builds its own states.
     """
     if len(s) != len(c) + 1:
         raise EditError(f"script length {len(s)} does not fit caption length {len(c)}")
     out: list[Token] = []
     op0, content0 = s.slots[0]
     if op0 is EditOp.INSERT:
-        out.append(Token(content0, content_origin))
+        out.append(Token(content0))
     for pos, (op, content) in enumerate(s.slots[1:]):
         tok = c.tokens[pos]
         if op is EditOp.KEEP:
@@ -117,10 +117,10 @@ def apply_script(c: CaptionState, s: EditScript, decrement_step: bool,
         elif op is EditOp.DELETE:
             pass
         elif op is EditOp.REPLACE:
-            out.append(Token(content, content_origin))
+            out.append(Token(content))
         else:  # INSERT: keep the host word, add the new word after it
             out.append(tok)
-            out.append(Token(content, content_origin))
+            out.append(Token(content))
     step = max(0, c.step - 1) if decrement_step else c.step + 1
     return CaptionState(tuple(out), step)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .align import lev_ratio
 from .diffusion import denoise_loop, make_random_sequence, place_pins
-from .edit_ops import CaptionState
+from .edit_ops import CaptionState, NoiseSchedule
 from .world import Corpus, corrupt_to_ratio
 
 BLEU_EPS = 1e-9
@@ -160,7 +160,7 @@ def evaluate(model, corpus: Corpus, mode: str, steps: int, seed: int,
         elif kind == "random":
             state = make_random_sequence(arg, vocab, rng, step=steps)
         else:  # control
-            state = make_random_sequence(10, vocab, rng, step=steps)
+            state = make_random_sequence(NoiseSchedule.target_len, vocab, rng, step=steps)
             pins = default_pins(list(ex.caption), len(state))
             state = place_pins(state, pins)
             pin_maps.append(pins)

@@ -140,23 +140,8 @@ class DenoiserModel:
 
     def _attention(self, x: Tensor, layer: int, layout: _Layout) -> Tensor:
         pre = f"layers.{layer}.attn"
-        cfg = self.cfg
-        heads, dh = cfg.num_heads, cfg.embed_dim // cfg.num_heads
-        batch, length = layout.shape
-
-        def project(w: str, axes) -> Tensor:  # x W + b as [B, L, H, dh], then permuted
-            a = ad.scatter_rows(self._linear(x, pre, f"w{w}", f"b{w}"), layout.back,
-                                batch * length)
-            return ad.transpose(ad.reshape(a, (batch, length, heads, dh)), axes)
-
-        # each intermediate is consumed as soon as it is made, so that with
-        # no tape the rollout batch holds few [N, d]-sized buffers at once
-        attn = ad.scale(ad.matmul(project("q", (0, 2, 1, 3)), project("k", (0, 2, 3, 1))),
-                        1.0 / math.sqrt(dh))
-        attn = ad.add(attn, Tensor(layout.key_bias))
-        attn = ad.matmul(ad.softmax(attn), project("v", (0, 2, 1, 3)))
-        attn = ad.reshape(ad.transpose(attn, (0, 2, 1, 3)), (batch * length, cfg.embed_dim))
-        attn = ad.take_rows(attn, layout.back)
+        q, k, v = (self._linear(x, pre, f"w{w}", f"b{w}") for w in "qkv")
+        attn = ad.attention(q, k, v, layout.back, layout.key_bias, self.cfg.num_heads)
         return self._linear(attn, pre, "wo", "bo")
 
     def _ffn(self, x: Tensor, layer: int) -> Tensor:
@@ -271,17 +256,17 @@ def _ranges(lengths: np.ndarray) -> np.ndarray:
 class _Layout:
     """Where each example's rows sit in the packed [N, d] matrix.
 
-    The padded sequences have ``shape`` [B, L]; ``back[n]`` is the flat
-    [B * L] position of packed row n (condition, then START + caption, per
-    example) and ``key_bias`` masks the padded keys.  Padded positions hold
-    zeros and get exactly zero gradient: masked keys have softmax weight
-    0.0 and padded queries are never taken back.
+    Attention pads the B examples to sequences of length L: ``back[n]`` is
+    the flat [B * L] position of packed row n (condition, then START +
+    caption, per example) and ``key_bias``, of shape [B, 1, 1, L], masks
+    the padded keys.  Padded positions hold zeros and get exactly zero
+    gradient: masked keys have softmax weight 0.0 and padded queries are
+    never taken back.
     """
 
     def __init__(self, cond_lens: np.ndarray, word_lens: np.ndarray):
         seq_lens = cond_lens + word_lens
-        self.shape = (len(seq_lens), int(seq_lens.max()))
-        pos = np.arange(self.shape[1])[None, :]
+        pos = np.arange(int(seq_lens.max()))[None, :]
         cond_start = (np.cumsum(cond_lens) - cond_lens)[:, None]
         word_start = (int(cond_lens.sum()) + np.cumsum(word_lens) - word_lens)[:, None]
         in_cond = pos < cond_lens[:, None]

@@ -1,15 +1,18 @@
 """Tape nodes and scripts that only the tests use.
 
-``mul``, ``sum_all`` and ``plain_layer_norm`` are the elementwise product,
-the full sum and the no-affine layer norm that the model no longer needs.
-``unfused_linear`` and ``unfused_layer_norm`` compose them into the
-reference against which the fused ``autodiff.linear`` and
-``autodiff.layer_norm`` must agree bit for bit.
+``mul``, ``sum_all``, ``plain_layer_norm``, ``matmul``, ``transpose``,
+``reshape``, ``softmax`` and ``scatter_rows`` are primitive nodes that the
+model no longer needs.  ``unfused_linear``, ``unfused_layer_norm`` and
+``unfused_attention`` compose them into the reference against which the
+fused ``autodiff.linear``, ``autodiff.layer_norm`` and
+``autodiff.attention`` must agree bit for bit.
 
 ``reference_weighted_ldist`` and ``reference_align`` are the O(mn) dynamic
 programs that ``align.weighted_ldist`` and ``align.align`` replaced; the
 bit-parallel versions must give equal distances and equal scripts.
 """
+
+import math
 
 import numpy as np
 
@@ -57,12 +60,97 @@ def plain_layer_norm(a, eps: float = 1e-5) -> Tensor:
     return Tensor(xhat, parents=(a,), backward=bwd)
 
 
+def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    try:
+        out_data = a.data @ b.data
+    except ValueError:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from None
+
+    def bwd(g, a=a, b=b):
+        a._accum(ad._unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        b._accum(ad._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+
+    return Tensor(out_data, parents=(a, b), backward=bwd)
+
+
+def transpose(a, axes=None) -> Tensor:
+    """Permute axes (reverse them by default, as ``np.transpose``)."""
+    a = as_tensor(a)
+    inverse = None if axes is None else tuple(np.argsort(axes))
+
+    def bwd(g, a=a, inverse=inverse):
+        a._accum(np.transpose(g, inverse))
+
+    return Tensor(np.transpose(a.data, axes), parents=(a,), backward=bwd)
+
+
+def reshape(a, shape) -> Tensor:
+    a = as_tensor(a)
+
+    def bwd(g, a=a):
+        a._accum(g.reshape(a.data.shape))
+
+    return Tensor(a.data.reshape(shape), parents=(a,), backward=bwd)
+
+
+def softmax(a) -> Tensor:
+    """Softmax over the last axis."""
+    a = as_tensor(a)
+    y = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    y /= y.sum(axis=-1, keepdims=True)
+
+    def bwd(g, a=a, y=y):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        a._accum(y * (g - dot))
+
+    return Tensor(y, parents=(a,), backward=bwd)
+
+
+def scatter_rows(a, ids, n: int) -> Tensor:
+    """An ``[n, ...]`` tensor whose row ``ids[i]`` is row i of ``a`` and whose
+    other rows are zero.  ``ids`` must be distinct.  ``take_rows`` with the
+    same ids undoes it, and each one's backward is the other's forward."""
+    a = as_tensor(a)
+    ids = np.asarray(ids, dtype=np.int64)
+    out = np.zeros((n,) + a.data.shape[1:])
+    out[ids] = a.data
+
+    def bwd(g, a=a, ids=ids):
+        a._accum(g[ids])
+
+    return Tensor(out, parents=(a,), backward=bwd)
+
+
 def unfused_linear(x, w, b) -> Tensor:
-    return ad.add(ad.matmul(x, w), b)
+    return ad.add(matmul(x, w), b)
 
 
 def unfused_layer_norm(x, gain, bias) -> Tensor:
     return ad.add(mul(plain_layer_norm(x), gain), bias)
+
+
+def unfused_attention(q, k, v, back, key_bias, heads, scatter=scatter_rows,
+                      take=ad.take_rows) -> Tensor:
+    """``autodiff.attention`` as a chain of primitive nodes.  ``scatter`` and
+    ``take`` place the packed rows into the padded sequences and take them
+    back."""
+    batch, length = key_bias.shape[0], key_bias.shape[-1]
+    d = q.shape[1]
+    dh = d // heads
+
+    def heads_of(a, axes):
+        padded = scatter(a, back, batch * length)
+        return transpose(reshape(padded, (batch, length, heads, dh)), axes)
+
+    attn = ad.scale(matmul(heads_of(q, (0, 2, 1, 3)), heads_of(k, (0, 2, 3, 1))),
+                    1.0 / math.sqrt(dh))
+    attn = ad.add(attn, Tensor(key_bias))
+    attn = matmul(softmax(attn), heads_of(v, (0, 2, 1, 3)))
+    return take(reshape(transpose(attn, (0, 2, 1, 3)), (batch * length, d)), back)
 
 
 def all_keep_script(caption_len: int) -> EditScript:

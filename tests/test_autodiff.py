@@ -3,7 +3,8 @@ import pytest
 
 from editdiff import autodiff as ad
 from editdiff.autodiff import Adam, ShapeError, Tensor, backward, grad_check, zero_grads
-from helpers import mul, sum_all, unfused_layer_norm, unfused_linear
+from helpers import (matmul, mul, reshape, scatter_rows, softmax, sum_all, transpose,
+                     unfused_attention, unfused_layer_norm, unfused_linear)
 
 
 def leaf(data):
@@ -30,12 +31,12 @@ def test_mul_gradients():
 def test_matmul_gradients_and_shape_check():
     a = leaf(np.arange(6, dtype=float).reshape(2, 3))
     b = leaf(np.arange(12, dtype=float).reshape(3, 4))
-    backward(sum_all(ad.matmul(a, b)))
+    backward(sum_all(matmul(a, b)))
     g = np.ones((2, 4))
     assert np.allclose(a.grad, g @ b.data.T)
     assert np.allclose(b.grad, a.data.T @ g)
     with pytest.raises(ShapeError):
-        ad.matmul(leaf(np.ones((2, 3))), leaf(np.ones((2, 3))))
+        matmul(leaf(np.ones((2, 3))), leaf(np.ones((2, 3))))
 
 
 def test_shared_node_accumulates_grad():
@@ -47,7 +48,7 @@ def test_shared_node_accumulates_grad():
 
 def test_softmax_rows_sum_to_one_and_grad_is_zero_mean():
     x = leaf(np.random.default_rng(0).normal(size=(3, 5)))
-    y = ad.softmax(x)
+    y = softmax(x)
     assert np.allclose(y.data.sum(axis=-1), 1.0)
     backward(sum_all(mul(y, Tensor(np.eye(3, 5)))))
     assert np.allclose(x.grad.sum(axis=-1), 0.0, atol=1e-12)
@@ -128,8 +129,8 @@ def test_grad_check_small_mlp():
     x = Tensor(rng.normal(size=(3, 4)))
 
     def f():
-        h = ad.silu(ad.matmul(x, w1))
-        return ad.cross_entropy(ad.matmul(h, w2), np.array([0, 1, 0]))
+        h = ad.silu(matmul(x, w1))
+        return ad.cross_entropy(matmul(h, w2), np.array([0, 1, 0]))
 
     assert grad_check(f, [w1, w2], eps=1e-5) < 1e-6
 
@@ -183,11 +184,11 @@ def test_batched_matmul_transpose_reshape_gather_gradients():
     weights = Tensor(rng.normal(size=(5, 4)))
 
     def f():
-        h = ad.gather(ad.matmul(x, w), seq)  # [2, 3, 4]
-        heads = ad.transpose(ad.reshape(h, (2, 3, 2, 2)), (0, 2, 1, 3))  # [2, 2, 3, 2]
-        scores = ad.softmax(ad.matmul(heads, ad.transpose(heads, (0, 1, 3, 2))))
-        mixed = ad.matmul(scores, heads)
-        merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (6, 4))
+        h = ad.gather(matmul(x, w), seq)  # [2, 3, 4]
+        heads = transpose(reshape(h, (2, 3, 2, 2)), (0, 2, 1, 3))  # [2, 2, 3, 2]
+        scores = softmax(matmul(heads, transpose(heads, (0, 1, 3, 2))))
+        mixed = matmul(scores, heads)
+        merged = reshape(transpose(mixed, (0, 2, 1, 3)), (6, 4))
         out = ad.gather(merged, back)
         return sum_all(mul(out, weights))
 
@@ -197,15 +198,15 @@ def test_batched_matmul_transpose_reshape_gather_gradients():
 def test_batched_matmul_broadcasts_and_checks_shapes():
     a = leaf(np.ones((2, 3, 4)))
     b = leaf(np.arange(20, dtype=float).reshape(4, 5))
-    out = ad.matmul(a, b)
+    out = matmul(a, b)
     assert out.shape == (2, 3, 5)
     backward(sum_all(out))
     assert b.grad.shape == (4, 5)
     assert np.array_equal(b.grad, np.full((4, 5), 6.0))
     with pytest.raises(ShapeError):
-        ad.matmul(leaf(np.ones((2, 3, 4))), leaf(np.ones((3, 4, 5))))
+        matmul(leaf(np.ones((2, 3, 4))), leaf(np.ones((3, 4, 5))))
     with pytest.raises(ShapeError):
-        ad.matmul(leaf(np.ones(3)), leaf(np.ones((3, 2))))
+        matmul(leaf(np.ones(3)), leaf(np.ones((3, 2))))
 
 
 def test_gather_nd_ids_route_gradients():
@@ -236,7 +237,7 @@ def test_no_grad_is_restored_after_an_exception():
             with ad.no_grad():
                 pass
             assert not ad.add(a, a).requires_grad
-            ad.matmul(a, a)
+            matmul(a, a)
     assert ad.add(a, a).requires_grad
 
 
@@ -244,7 +245,7 @@ def test_scatter_rows_and_take_rows_undo_each_other():
     rng = np.random.default_rng(8)
     x = leaf(rng.normal(size=(4, 3)))
     ids = np.array([5, 0, 2, 3])
-    padded = ad.scatter_rows(x, ids, 6)
+    padded = scatter_rows(x, ids, 6)
     assert np.array_equal(padded.data[ids], x.data)
     assert np.array_equal(padded.data[[1, 4]], np.zeros((2, 3)))
     assert np.array_equal(ad.take_rows(padded, ids).data, x.data)
@@ -252,7 +253,7 @@ def test_scatter_rows_and_take_rows_undo_each_other():
     weights = Tensor(rng.normal(size=(6, 3)))
 
     def f():
-        mixed = ad.matmul(mix, ad.scatter_rows(x, ids, 6))
+        mixed = matmul(mix, scatter_rows(x, ids, 6))
         return sum_all(mul(ad.take_rows(mul(mixed, weights), ids[::-1]), x))
 
     assert grad_check(f, [x], eps=1e-5) < 1e-6
@@ -378,3 +379,49 @@ def test_affine_layer_norm_is_norm_times_gain_plus_bias_bit_for_bit():
     assert grad_check(lambda: sum_all(mul(ad.layer_norm(*inputs), weights)), inputs) < 1e-6
     with pytest.raises(ShapeError):
         ad.layer_norm(inputs[0], leaf(np.ones(6)), inputs[2])
+
+
+def _ragged_attention_inputs(rng, d=6):
+    # two sequences of 3 and 2 rows padded to length 3; the packed rows are
+    # out of sequence order and flat position 5 is padding
+    inputs = [leaf(rng.normal(size=(5, d))) for _ in range(3)]
+    back = np.array([3, 0, 4, 1, 2])
+    key_bias = np.zeros((2, 1, 1, 3))
+    key_bias[1, ..., 2] = -1e9
+    return inputs, back, key_bias
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_attention_is_the_padded_composition_bit_for_bit(heads):
+    rng = np.random.default_rng(13)
+    inputs, back, key_bias = _ragged_attention_inputs(rng)
+    weights = Tensor(rng.normal(size=(5, 6)))
+
+    def fused(q, k, v):
+        return ad.attention(q, k, v, back, key_bias, heads)
+
+    def unfused(q, k, v):
+        return unfused_attention(q, k, v, back, key_bias, heads)
+
+    got, want = _fused_against_unfused(fused, unfused, inputs, weights)
+    assert len(got) == 4 and all(np.array_equal(f, u) for f, u in zip(got, want))
+    assert all(np.abs(g).sum() > 0 for g in got[1:])
+    assert grad_check(lambda: sum_all(mul(fused(*inputs), weights)), inputs) < 1e-6
+
+
+def test_attention_rejects_bad_shapes():
+    rng = np.random.default_rng(14)
+    (q, k, v), back, key_bias = _ragged_attention_inputs(rng)
+    ad.attention(q, k, v, back, key_bias, 2)
+    bad = [(q, k, leaf(np.ones((4, 6))), back, key_bias, 2),  # v rows
+           (leaf(np.ones((5, 6, 1))), k, v, back, key_bias, 2),  # 3-D q
+           (q, k, v, back, key_bias, 4),  # 6 columns into 4 heads
+           (q, k, v, back, key_bias, 0),
+           (q, k, v, back[:4], key_bias, 2),  # one position short
+           (q, k, v, np.array([3, 0, 4, 1, 6]), key_bias, 2),  # past the padding
+           (q, k, v, np.array([3, 0, 4, 1, -1]), key_bias, 2),
+           (q, k, v, back, key_bias[:, 0], 2),  # 3-D key bias
+           (q, k, v, back, np.zeros((2, 2, 1, 3)), 2)]
+    for args in bad:
+        with pytest.raises(ShapeError):
+            ad.attention(*args)

@@ -117,15 +117,18 @@ def test_synth_too_few_scenes_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["synth", "train"])
 def test_unknown_config_key_is_usage_error(trained, tmp_path, capsys, command):
+    # a misspelled setting, and a flag of the command that has no default
+    # and so cannot be set from the file
     corpus_dir, _ = trained
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed=1\nepoch=5\n", encoding="utf-8")
     out = tmp_path / "out"
     flags = ["--corpus", str(corpus_dir)] if command == "train" else []
-    code = main([command, "--config", str(cfg), "--out", str(out)] + flags)
-    assert code == EXIT_USAGE
-    assert "unknown config keys: epoch" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [cfg]
+    for key in ("epoch", {"synth": "spec", "train": "config"}[command]):
+        cfg.write_text(f"seed=1\n{key}=5\n", encoding="utf-8")
+        code = main([command, "--config", str(cfg), "--out", str(out)] + flags)
+        assert code == EXIT_USAGE
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +361,23 @@ def test_eval_bad_ratio_or_limit_is_usage_error(trained, tmp_path, capsys, flags
     assert code == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("case", ["eval-out", "synth-out", "eval-ckpt"])
+def test_path_through_a_regular_file_is_io_error(trained, tmp_path, capsys, case):
+    corpus_dir, ckpt = trained
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n", encoding="utf-8")
+    eval_args = ["eval", "--corpus", str(corpus_dir), "--mode", "random:10", "--limit", "1"]
+    argv = {
+        "eval-out": eval_args + ["--ckpt", str(ckpt), "--out", str(afile / "r.json")],
+        "synth-out": ["synth", "--n", "30", "--out", str(afile / "x")],
+        "eval-ckpt": eval_args + ["--ckpt", str(afile / "x.ckpt"),
+                                  "--out", str(tmp_path / "r.json")],
+    }[case]
+    assert main(argv) == EXIT_IO
+    assert "io error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [afile]
 
 
 def test_corrupt_checkpoint_is_format_error(trained, tmp_path, capsys):

@@ -100,11 +100,15 @@ def test_apply_step_bookkeeping():
 
 
 def test_apply_content_origin_tagging():
-    c = cap([5, 6])
-    s = script((I, 9), (R, 7), (K, None))
-    noised = apply_script(c, s, decrement_step=False, content_origin=Origin.RANDOM_WORD)
-    assert [t.origin for t in noised.tokens] == [
-        Origin.RANDOM_WORD, Origin.RANDOM_WORD, Origin.ORIGINAL]
+    # the words a script writes are original; a kept or host word keeps its own
+    c = CaptionState((Token(5, Origin.RANDOM_WORD), Token(6, Origin.RANDOM_WORD),
+                      Token(4, Origin.RANDOM_WORD)), step=3)
+    s = script((I, 9), (R, 7), (I, 8), (K, None))
+    out = apply_script(c, s, decrement_step=True)
+    assert out.ids() == [9, 7, 6, 8, 4]
+    assert [t.origin for t in out.tokens] == [
+        Origin.ORIGINAL, Origin.ORIGINAL, Origin.RANDOM_WORD, Origin.ORIGINAL,
+        Origin.RANDOM_WORD]
 
 
 def test_survivor_map_tracks_positions():
@@ -197,7 +201,6 @@ def test_sample_noising_step_script_round_trip():
     c = cap(list(range(2, 12)), step=0)
     for t in range(1, sch.T + 1):
         s, nxt = sample_noising_step(c, sch, t, vocab, rng)
-        redo = apply_script(c, s, decrement_step=False,
-                            content_origin=Origin.RANDOM_WORD)
+        redo = apply_script(c, s, decrement_step=False)
         assert redo.ids() == nxt.ids()
         c = nxt

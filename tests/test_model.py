@@ -24,7 +24,7 @@ from editdiff.model import (
     train,
 )
 from editdiff.world import WorldSpec, make_corpus
-from helpers import unfused_layer_norm, unfused_linear
+from helpers import unfused_attention, unfused_layer_norm, unfused_linear
 
 K, R, I, D = EditOp.KEEP, EditOp.REPLACE, EditOp.INSERT, EditOp.DELETE
 
@@ -357,9 +357,9 @@ def _ragged_gradients():
 
 
 def test_padded_attention_gradients_match_the_gather_layout(monkeypatch):
-    # padded rows get exactly zero gradient, so writing rows into zero
-    # padding and taking them back gives the bits of gathering them with
-    # add.at in the backward
+    # padded rows get exactly zero gradient, so the attention node, which
+    # writes rows into zero padding and takes them back, gives the bits of
+    # gathering them with add.at in the backward
     padded = _ragged_gradients()
 
     def gathered_rows(a, ids, n):
@@ -367,9 +367,15 @@ def test_padded_attention_gradients_match_the_gather_layout(monkeypatch):
         seq[ids] = np.arange(len(ids))
         return ad.gather(a, seq)
 
-    monkeypatch.setattr(ad, "scatter_rows", gathered_rows)
-    monkeypatch.setattr(ad, "take_rows", ad.gather)
+    calls = []
+
+    def gathered_attention(*args):
+        calls.append(args)
+        return unfused_attention(*args, scatter=gathered_rows, take=ad.gather)
+
+    monkeypatch.setattr(ad, "attention", gathered_attention)
     gathered = _ragged_gradients()
+    assert len(calls) == ragged_model().cfg.num_layers
     assert all(np.array_equal(p, g) for p, g in zip(padded, gathered))
 
 
@@ -377,14 +383,15 @@ def test_fused_nodes_give_the_unfused_gradients_bit_for_bit(monkeypatch):
     fused = _ragged_gradients()
     monkeypatch.setattr(ad, "linear", unfused_linear)
     monkeypatch.setattr(ad, "layer_norm", unfused_layer_norm)
+    monkeypatch.setattr(ad, "attention", unfused_attention)
     unfused = _ragged_gradients()
     assert len(fused) == len(unfused) == 2 + len(ragged_model().params)
     assert all(np.array_equal(f, u) for f, u in zip(fused, unfused))
 
 
 def test_training_forward_builds_a_fixed_number_of_tensors(monkeypatch):
-    # two layers of a ragged 3-example batch, with one node per linear and
-    # per layer norm: splitting any of them up changes the count
+    # two layers of a ragged 3-example batch, with one node per linear, per
+    # layer norm and per attention: splitting any of them up changes the count
     m = ragged_model()
     built = []
     real = ad.Tensor.__init__
@@ -395,7 +402,7 @@ def test_training_forward_builds_a_fixed_number_of_tensors(monkeypatch):
 
     monkeypatch.setattr(ad.Tensor, "__init__", counting)
     m.forward_packed(RAGGED_CONDITIONS, RAGGED_CAPTIONS, RAGGED_TS)
-    assert len(built) == 79
+    assert len(built) == 45
 
 
 def test_train_config_validation():
