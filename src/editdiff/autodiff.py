@@ -412,43 +412,41 @@ class Adam:
     """Standard Adam with bias correction; grads are cleared after a step.
 
     The update runs in place, through one scratch pair sized to the largest
-    parameter block.
+    parameter block.  The learning rate is given to each step.
     """
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params):
         self.params = list(params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self._scratch = np.empty((2, max((p.data.size for p in self.params), default=0)))
 
-    def step(self, lr: float | None = None) -> None:
+    def step(self, lr: float) -> None:
         if any(p.grad is None for p in self.params):
             raise ValueError("adam_step: gradients missing on some parameters")
-        lr = self.lr if lr is None else lr
         self.step_count += 1
-        bc1 = 1 - self.beta1 ** self.step_count
-        bc2 = 1 - self.beta2 ** self.step_count
+        bc1 = 1 - self.BETA1 ** self.step_count
+        bc2 = 1 - self.BETA2 ** self.step_count
         for p, m, v in zip(self.params, self.m, self.v):
             # the operations and their order are those of
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
             # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
             s, r = (buf[:p.data.size].reshape(p.data.shape) for buf in self._scratch)
-            m *= self.beta1
-            m += np.multiply(p.grad, 1 - self.beta1, out=s)
-            v *= self.beta2
+            m *= self.BETA1
+            m += np.multiply(p.grad, 1 - self.BETA1, out=s)
+            v *= self.BETA2
             np.square(p.grad, out=s)
-            v += np.multiply(s, 1 - self.beta2, out=s)
+            v += np.multiply(s, 1 - self.BETA2, out=s)
             np.divide(m, bc1, out=s)
             s *= lr
             np.divide(v, bc2, out=r)
             np.sqrt(r, out=r)
-            r += self.eps
+            r += self.EPS
             s /= r
             p.data -= s
         zero_grads(self.params)

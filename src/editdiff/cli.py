@@ -453,7 +453,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (CheckpointError, WorldError, json.JSONDecodeError) as e:
+    except (CheckpointError, WorldError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"format error: {e}", file=sys.stderr)
         return EXIT_FORMAT
     except (RuntimeError, FloatingPointError) as e:

@@ -63,8 +63,9 @@ class CaptionState:
         return [t.id for t in self.tokens]
 
     @classmethod
-    def from_ids(cls, ids, step: int = 0, origin: Origin = Origin.ORIGINAL) -> "CaptionState":
-        return cls(tuple(Token(int(i), origin) for i in ids), step)
+    def from_ids(cls, ids, step: int = 0) -> "CaptionState":
+        """A caption of original words."""
+        return cls(tuple(Token(int(i)) for i in ids), step)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,10 +92,6 @@ class EditScript:
 
     def __len__(self) -> int:
         return len(self.slots)
-
-    @property
-    def caption_len(self) -> int:
-        return len(self.slots) - 1
 
 
 def apply_script(c: CaptionState, s: EditScript, decrement_step: bool) -> CaptionState:

@@ -348,10 +348,9 @@ def lr_at(step: int, total_steps: int, hyper: TrainConfig) -> float:
 
 
 def holdout_exact_match(model: DenoiserModel, examples, sch: NoiseSchedule,
-                        vocab: Vocabulary, rng: np.random.Generator,
-                        cap: int | None = None) -> float:
-    """Fraction of held-out scenes regenerated exactly from random words."""
-    subset = examples if cap is None else examples[:cap]
+                        vocab: Vocabulary, rng: np.random.Generator) -> float:
+    """Fraction of the first HOLDOUT_CAP held-out scenes regenerated exactly from random words."""
+    subset = examples[:HOLDOUT_CAP]
     if not subset:
         return 0.0
     starts = [make_random_sequence(sch.target_len, vocab, rng, step=sch.T) for _ in subset]
@@ -368,7 +367,7 @@ def train(corpus, sch: NoiseSchedule, cfg: ModelConfig, hyper: TrainConfig,
     vocab = corpus.vocab
     model = DenoiserModel(cfg)
     params = model.param_list()
-    adam = Adam(params, lr=hyper.lr)
+    adam = Adam(params)
     rng = np.random.default_rng(hyper.seed)
     n = len(corpus.train)
     steps_per_epoch = math.ceil(n / hyper.batch)
@@ -405,7 +404,7 @@ def train(corpus, sch: NoiseSchedule, cfg: ModelConfig, hyper: TrainConfig,
                     p.grad = np.zeros_like(p.data)
             adam.step(lr=lr_at(opt_step, total_steps, hyper))
             opt_step += 1
-        em = holdout_exact_match(model, corpus.val, sch, vocab, rng, cap=HOLDOUT_CAP)
+        em = holdout_exact_match(model, corpus.val, sch, vocab, rng)
         row = {
             "epoch": epoch,
             "loss_edit": edit_sum / n,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .align import lev_ratio
-from .vocab import PAD, START, Vocabulary, build_vocab, sample_random_word
+from .vocab import NUM_SPECIALS, PAD, START, Vocabulary, build_vocab, sample_random_word
 
 ENTITIES = (
     "cat", "dog", "bird", "fox", "wolf", "bear", "deer", "owl", "duck",
@@ -41,6 +41,8 @@ RELATIONS = (
 )
 GLUE = ("the", "sits", "near", "and")
 
+Facts = tuple[tuple[int, int, int], ...]  # (entity, attribute, relation) indices
+
 
 SPLITS = ("train", "val", "test")
 
@@ -54,43 +56,32 @@ class WorldSpec:
     entities: tuple[str, ...] = ENTITIES
     attributes: tuple[str, ...] = ATTRIBUTES
     relations: tuple[str, ...] = RELATIONS
-    length_bounds: tuple[int, int] = (6, 12)
 
     @property
     def cond_vocab_size(self) -> int:
         return len(self.entities) + len(self.attributes) + len(self.relations)
 
 
-@dataclass(frozen=True)
-class Scene:
-    scene_id: int
-    facts: tuple[tuple[int, int, int], ...]  # (entity, attribute, relation) indices
-
-    def __post_init__(self):
-        if not 1 <= len(self.facts) <= 3:
-            raise WorldError("a scene holds 1..3 facts")
-
-
 def build_world_vocab(spec: WorldSpec) -> Vocabulary:
     return build_vocab(spec.entities + spec.attributes + spec.relations + GLUE)
 
 
-def generate_scene(spec: WorldSpec, rng: np.random.Generator, scene_id: int = 0) -> Scene:
+def generate_scene(spec: WorldSpec, rng: np.random.Generator) -> Facts:
+    """A scene's 1-3 facts, drawn uniformly."""
     n_facts = int(rng.integers(1, 4))
-    facts = tuple(
+    return tuple(
         (int(rng.integers(len(spec.entities))),
          int(rng.integers(len(spec.attributes))),
          int(rng.integers(len(spec.relations))))
         for _ in range(n_facts)
     )
-    return Scene(scene_id, facts)
 
 
-def render_caption_words(spec: WorldSpec, scene: Scene) -> list[str]:
-    """Render the canonical caption; pure in the scene's facts."""
+def render_caption_words(spec: WorldSpec, facts: Facts) -> list[str]:
+    """Render the canonical caption of 7, 9 or 12 words; pure in the facts."""
     phrases = [
         (spec.attributes[a], spec.entities[e], spec.relations[r])
-        for e, a, r in scene.facts
+        for e, a, r in facts
     ]
     if len(phrases) == 1:
         a, e, r = phrases[0]
@@ -104,19 +95,15 @@ def render_caption_words(spec: WorldSpec, scene: Scene) -> list[str]:
     return words
 
 
-def render_caption(spec: WorldSpec, scene: Scene, vocab: Vocabulary) -> list[int]:
-    words = render_caption_words(spec, scene)
-    lo, hi = spec.length_bounds
-    if not lo <= len(words) <= hi:
-        raise WorldError(f"rendered caption length {len(words)} outside bounds {spec.length_bounds}")
-    return vocab.encode_all(words)
+def render_caption(spec: WorldSpec, facts: Facts, vocab: Vocabulary) -> list[int]:
+    return vocab.encode_all(render_caption_words(spec, facts))
 
 
-def condition_tokens(spec: WorldSpec, scene: Scene) -> list[int]:
+def condition_tokens(spec: WorldSpec, facts: Facts) -> list[int]:
     """Flat fact encoding over a separate condition-token space."""
     ne, na = len(spec.entities), len(spec.attributes)
     out: list[int] = []
-    for e, a, r in scene.facts:
+    for e, a, r in facts:
         out.extend([e, ne + a, ne + na + r])
     return out
 
@@ -124,7 +111,7 @@ def condition_tokens(spec: WorldSpec, scene: Scene) -> list[int]:
 @dataclass(frozen=True)
 class Example:
     scene_id: int
-    facts: tuple[tuple[int, int, int], ...]
+    facts: Facts
     condition: tuple[int, ...]
     caption: tuple[int, ...]
 
@@ -166,14 +153,14 @@ def make_corpus(spec: WorldSpec, n: int, seed: int) -> Corpus:
         attempts += 1
         if attempts > 100 * n:
             raise WorldError(f"could not generate {n} unique scenes")
-        scene = generate_scene(spec, rng, scene_id=len(examples))
-        if scene.facts in seen:
+        facts = generate_scene(spec, rng)
+        if facts in seen:
             continue
-        seen.add(scene.facts)
+        seen.add(facts)
         examples.append(Example(
-            scene.scene_id, scene.facts,
-            tuple(condition_tokens(spec, scene)),
-            tuple(render_caption(spec, scene, vocab)),
+            len(examples), facts,
+            tuple(condition_tokens(spec, facts)),
+            tuple(render_caption(spec, facts, vocab)),
         ))
     n_train = int(0.8 * n)
     n_val = int(0.9 * n) - n_train
@@ -204,11 +191,9 @@ def save_corpus(corpus: Corpus, out_dir: str | Path) -> None:
     meta = {
         "seed": corpus.seed,
         "hash": corpus.content_hash(),
-        "cond_vocab_size": corpus.spec.cond_vocab_size,
         "entities": list(corpus.spec.entities),
         "attributes": list(corpus.spec.attributes),
         "relations": list(corpus.spec.relations),
-        "length_bounds": list(corpus.spec.length_bounds),
     }
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2), encoding="utf-8")
 
@@ -241,15 +226,12 @@ def load_spec(path: str | Path) -> WorldSpec:
 
 def load_corpus(in_dir: str | Path) -> Corpus:
     """Read a corpus written by ``save_corpus``; a file that lacks a field,
-    holds the wrong kind of JSON value, or a vocabulary that is not the one
-    the spec builds raises ``WorldError``."""
+    holds the wrong kind of JSON value, a vocabulary that is not the one the
+    spec builds, or an id outside its vocabulary raises ``WorldError``."""
     in_dir = Path(in_dir)
     meta = json.loads((in_dir / "meta.json").read_text(encoding="utf-8"))
     try:
-        spec = WorldSpec(
-            **spec_inventories(meta, "meta.json"),
-            length_bounds=tuple(meta["length_bounds"]),
-        )
+        spec = WorldSpec(**spec_inventories(meta, "meta.json"))
         seed, recorded_hash = meta["seed"], meta["hash"]
     except (KeyError, TypeError) as e:
         raise WorldError(f"meta.json needs the spec's fields and the hash: "
@@ -258,6 +240,10 @@ def load_corpus(in_dir: str | Path) -> Corpus:
     if (in_dir / "vocab.txt").read_text(encoding="utf-8").splitlines() != list(vocab.tokens):
         raise WorldError("vocab.txt is not the vocabulary of the corpus's spec")
     corpus = Corpus(spec, vocab, seed)
+    # the distinct ids, checked once at the end: a set per row costs less
+    # than a comparison per id
+    caption_ids: set = set()
+    condition_ids: set = set()
     for split in SPLITS:
         rows = (in_dir / f"{split}.jsonl").read_text(encoding="utf-8").splitlines()
         for line, row in enumerate(rows, 1):
@@ -269,18 +255,32 @@ def load_corpus(in_dir: str | Path) -> Corpus:
                     tuple(obj["condition"]),
                     tuple(obj["caption"]),
                 )
+                caption_ids.update(example.caption)
+                condition_ids.update(example.condition)
             except (KeyError, TypeError) as e:
                 raise WorldError(f"{split}.jsonl line {line}: need an object with scene_id, "
                                  f"facts, condition and caption: {type(e).__name__} {e}"
                                  ) from None
             corpus.split(split).append(example)
+    _check_ids("caption", caption_ids, NUM_SPECIALS, vocab.size)
+    _check_ids("condition", condition_ids, 0, spec.cond_vocab_size)
     if corpus.content_hash() != recorded_hash:
         raise WorldError("corpus files do not match recorded hash")
     return corpus
 
 
+def _check_ids(kind: str, ids: set, lo: int, hi: int) -> None:
+    for i in ids:
+        if type(i) is not int or not lo <= i < hi:
+            raise WorldError(f"{kind} id {i!r} is not an integer in [{lo}, {hi})")
+
+
+# draws of replacement words corrupt_to_ratio makes before it keeps its best
+CORRUPT_ATTEMPTS = 25
+
+
 def corrupt_to_ratio(x0, target_ratio: float, vocab: Vocabulary,
-                     rng: np.random.Generator, max_attempts: int = 25) -> list[int]:
+                     rng: np.random.Generator) -> list[int]:
     """Replace words so the similarity ratio to x0 lands as close to target as possible.
 
     Replacing j of n words yields ratio 1 - j/n, so j is chosen in closed
@@ -299,7 +299,7 @@ def corrupt_to_ratio(x0, target_ratio: float, vocab: Vocabulary,
     expected = 1 - j / n
     best: list[int] | None = None
     best_err = float("inf")
-    for _ in range(max_attempts):
+    for _ in range(CORRUPT_ATTEMPTS):
         out = list(x0)
         positions = rng.choice(n, size=j, replace=False)
         for pos in positions:

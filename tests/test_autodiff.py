@@ -143,25 +143,24 @@ def test_grad_check_rejects_bad_order():
 def test_adam_converges_on_quadratic():
     target = np.array([3.0, -2.0, 0.5])
     p = leaf(np.zeros(3))
-    adam = Adam([p], lr=0.1)
+    adam = Adam([p])
     for _ in range(300):
         diff = ad.add(p, Tensor(-target))
         backward(sum_all(mul(diff, diff)))
-        adam.step()
+        adam.step(0.1)
     assert np.allclose(p.data, target, atol=1e-3)
 
 
 def test_adam_requires_grads():
     p = leaf(np.zeros(3))
     with pytest.raises(ValueError):
-        Adam([p]).step()
+        Adam([p]).step(1e-3)
 
 
 def test_adam_clears_grads_after_step():
     p = leaf(np.zeros(3))
     backward(sum_all(mul(p, p)))
-    adam = Adam([p])
-    adam.step()
+    Adam([p]).step(1e-3)
     assert p.grad is None
 
 
@@ -303,7 +302,7 @@ def test_adam_in_place_matches_the_textbook_update():
     ref = [p.data.copy() for p in params]
     m = [np.zeros(s) for s in shapes]
     v = [np.zeros(s) for s in shapes]
-    adam = Adam(params, lr=1e-2)
+    adam = Adam(params)
     for step in range(1, 6):
         lr = 1e-2 * step
         for k, p in enumerate(params):

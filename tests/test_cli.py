@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import struct
 from dataclasses import asdict
@@ -19,7 +20,7 @@ from editdiff.cli import (
 from editdiff.metrics import MetricError
 from editdiff.model import (CheckpointError, DenoiserModel, ModelConfig, load_checkpoint,
                             save_checkpoint)
-from editdiff.world import WorldSpec, load_corpus, make_corpus, save_corpus
+from editdiff.world import SPLITS, WorldSpec, load_corpus, make_corpus, save_corpus
 
 TINY_TRAIN = ["--epochs", "2", "--batch", "4", "--embed-dim", "16",
               "--num-layers", "1", "--num-heads", "2", "--ffn-dim", "32"]
@@ -131,6 +132,15 @@ def test_unknown_config_key_is_usage_error(trained, tmp_path, capsys, command):
         assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_non_utf8_config_file_is_format_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed=\xff\n")
+    code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_FORMAT
+    assert "format error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A small corpus plus a CLI-trained tiny checkpoint, shared by command tests."""
@@ -218,8 +228,41 @@ def _vocab_cut_to_5_lines(d):
     (d / "vocab.txt").write_text("\n".join(lines[:5]) + "\n", encoding="utf-8")
 
 
+def _train_not_utf8(d):
+    with open(d / "train.jsonl", "ab") as f:
+        f.write(b"\xff")
+
+
+def _set_first_id(d, key, value):
+    """Set the first id of a field of the first training row, and record the
+    files' new hash so that only the id check can catch it."""
+    rows = (d / "train.jsonl").read_text(encoding="utf-8").splitlines()
+    first = json.loads(rows[0])
+    first[key][0] = value
+    (d / "train.jsonl").write_text(
+        "\n".join([json.dumps(first, separators=(",", ":"))] + rows[1:]) + "\n",
+        encoding="utf-8")
+    meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))
+    meta["hash"] = hashlib.sha256(
+        b"".join((d / f"{split}.jsonl").read_bytes() for split in SPLITS)).hexdigest()
+    (d / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+
+
+def _caption_id_999(d):
+    _set_first_id(d, "caption", 999)
+
+
+def _condition_id_999(d):
+    _set_first_id(d, "condition", 999)
+
+
+def _caption_id_0(d):
+    _set_first_id(d, "caption", 0)
+
+
 @pytest.mark.parametrize("damage", [_meta_as_list, _meta_without_entities, _row_without_caption,
-                                    _vocab_cut_to_5_lines])
+                                    _vocab_cut_to_5_lines, _train_not_utf8, _caption_id_999,
+                                    _condition_id_999, _caption_id_0])
 def test_malformed_corpus_is_format_error(tmp_path, capsys, damage):
     corpus_dir = tmp_path / "corpus"
     save_corpus(make_corpus(WorldSpec(), 10, seed=0), corpus_dir)
@@ -247,10 +290,11 @@ SPEC = {"entities": ["cat", "dog"], "attributes": ["red"], "relations": ["tree"]
     json.dumps({**SPEC, "entities": ["", "cat"]}),                    # empty word
     json.dumps({**SPEC, "attributes": ["red\nblue"]}),                # line break
     json.dumps({**SPEC, "relations": ["tree\u2028"]}),                # Unicode line break
+    json.dumps(SPEC).encode("utf-8") + b"\xff",                       # not UTF-8
 ])
 def test_synth_malformed_spec_is_format_error(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"
-    spec.write_text(text, encoding="utf-8")
+    spec.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     out = tmp_path / "world"
     code = main(["synth", "--spec", str(spec), "--n", "5", "--out", str(out)])
     assert code == EXIT_FORMAT

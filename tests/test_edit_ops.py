@@ -21,7 +21,7 @@ K, R, I, D = EditOp.KEEP, EditOp.REPLACE, EditOp.INSERT, EditOp.DELETE
 
 
 def cap(ids, step=0, origin=Origin.ORIGINAL):
-    return CaptionState.from_ids(ids, step=step, origin=origin)
+    return CaptionState(tuple(Token(i, origin) for i in ids), step)
 
 
 def script(*slots):

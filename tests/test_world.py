@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from editdiff.vocab import NUM_SPECIALS
 from editdiff.world import (
     GLUE,
     Corpus,
-    Scene,
     WorldError,
     WorldSpec,
     build_world_vocab,
@@ -31,41 +32,32 @@ def test_inventory_sizes_give_expected_vocab():
     assert SPEC.cond_vocab_size == len(SPEC.entities) + len(SPEC.attributes) + len(SPEC.relations)
 
 
-def test_scene_fact_count_bounds():
-    Scene(0, ((0, 0, 0),))
-    Scene(0, ((0, 0, 0),) * 3)
-    with pytest.raises(WorldError):
-        Scene(0, ())
-    with pytest.raises(WorldError):
-        Scene(0, ((0, 0, 0),) * 4)
-
-
 def test_render_templates_by_fact_count():
-    one = render_caption_words(SPEC, Scene(0, ((1, 2, 3),)))
+    one = render_caption_words(SPEC, ((1, 2, 3),))
     assert len(one) == 7
     assert one == ["the", SPEC.attributes[2], SPEC.entities[1], "sits", "near",
                    "the", SPEC.relations[3]]
-    two = render_caption_words(SPEC, Scene(0, ((1, 2, 3), (4, 5, 6))))
+    two = render_caption_words(SPEC, ((1, 2, 3), (4, 5, 6)))
     assert len(two) == 9
     assert two[4] == "and"
-    three = render_caption_words(SPEC, Scene(0, ((1, 2, 3), (4, 5, 6), (7, 8, 9))))
+    three = render_caption_words(SPEC, ((1, 2, 3), (4, 5, 6), (7, 8, 9)))
     assert len(three) == 12
     assert three.count("near") == 3
 
 
 def test_render_is_deterministic_and_in_bounds():
+    # a generated scene holds 1-3 facts and renders to 7, 9 or 12 words
     vocab = build_world_vocab(SPEC)
-    scene = Scene(5, ((10, 11, 12), (13, 14, 15)))
-    a = render_caption(SPEC, scene, vocab)
-    b = render_caption(SPEC, scene, vocab)
-    assert a == b
-    lo, hi = SPEC.length_bounds
-    assert lo <= len(a) <= hi
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        facts = generate_scene(SPEC, rng)
+        a = render_caption(SPEC, facts, vocab)
+        assert a == render_caption(SPEC, facts, vocab)
+        assert len(a) == {1: 7, 2: 9, 3: 12}[len(facts)]
 
 
 def test_condition_tokens_use_disjoint_ranges():
-    scene = Scene(0, ((4, 7, 2), (44, 34, 29)))
-    toks = condition_tokens(SPEC, scene)
+    toks = condition_tokens(SPEC, ((4, 7, 2), (44, 34, 29)))
     ne, na = len(SPEC.entities), len(SPEC.attributes)
     assert toks == [4, ne + 7, ne + na + 2, 44, ne + 34, ne + na + 29]
     assert max(toks) < SPEC.cond_vocab_size
@@ -76,9 +68,9 @@ def test_condition_fully_determines_caption():
     rng = np.random.default_rng(0)
     seen: dict[tuple, tuple] = {}
     for _ in range(200):
-        scene = generate_scene(SPEC, rng)
-        cond = tuple(condition_tokens(SPEC, scene))
-        cap = tuple(render_caption(SPEC, scene, vocab))
+        facts = generate_scene(SPEC, rng)
+        cond = tuple(condition_tokens(SPEC, facts))
+        cap = tuple(render_caption(SPEC, facts, vocab))
         assert seen.setdefault(cond, cap) == cap
 
 
@@ -112,6 +104,19 @@ def test_corpus_save_load_round_trip(tmp_path):
     assert loaded.train == corpus.train
     assert loaded.spec == corpus.spec
     assert loaded.seed == corpus.seed == 1
+
+
+def test_corpus_with_the_old_meta_keys_loads(tmp_path):
+    # meta.json once also held cond_vocab_size and length_bounds; the loader
+    # reads named keys only, so such a corpus still loads
+    corpus = make_corpus(SPEC, 40, seed=1)
+    save_corpus(corpus, tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    old = {"seed": meta["seed"], "hash": meta["hash"], "cond_vocab_size": SPEC.cond_vocab_size,
+           "entities": meta["entities"], "attributes": meta["attributes"],
+           "relations": meta["relations"], "length_bounds": [6, 12]}
+    (tmp_path / "meta.json").write_text(json.dumps(old, indent=2))
+    assert load_corpus(tmp_path).content_hash() == corpus.content_hash()
 
 
 def test_load_detects_tampering(tmp_path):

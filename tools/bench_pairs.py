@@ -10,12 +10,16 @@ its checkout's ``perfbench/out/`` is read back.  The record holds, per
 workload and side, the median and quartiles of every end-to-end metric of
 ``BENCHMARK.json`` and of the raw (unscaled) throughput, the number of pairs
 the change won on each, whether every run was correct, and the machine,
-numpy version and git revision of each side.
+numpy version and revision of each side.  A checkout that is not the root
+of a git work tree is named by ``sha256:`` and a digest of the paths and
+bytes of its ``src/`` and ``perfbench/`` files, leaving out caches, build
+metadata and ``perfbench/out/``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -30,14 +34,33 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def source_digest(checkout: Path) -> str:
+    h = hashlib.sha256()
+    for top in ("src", "perfbench"):
+        for path in sorted((checkout / top).rglob("*")):
+            rel = path.relative_to(checkout)
+            if (not path.is_file() or rel.parts[:2] == ("perfbench", "out")
+                    or any(p == "__pycache__" or p.endswith(".egg-info") for p in rel.parts)):
+                continue
+            data = path.read_bytes()
+            h.update(f"{rel.as_posix()}\0{len(data)}\0".encode("utf-8"))
+            h.update(data)
+    return h.hexdigest()
+
+
 def revision(checkout: Path) -> str:
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
     try:
-        rev = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
-                             capture_output=True, text=True, check=True).stdout.strip()
-        dirty = subprocess.run(["git", "-C", str(checkout), "status", "--porcelain"],
-                               capture_output=True, text=True, check=True).stdout.strip()
+        top, rev = git("rev-parse", "--show-toplevel", "HEAD").splitlines()
+        dirty = git("status", "--porcelain")
     except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+        top = None
+    # a checkout inside another repository's work tree is not that revision
+    if top is None or Path(top).resolve() != checkout:
+        return "sha256:" + source_digest(checkout)
     return rev + ("+dirty" if dirty else "")
 
 
