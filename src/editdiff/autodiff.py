@@ -1,4 +1,10 @@
-"""Small reverse-mode autodiff over float64 numpy buffers, plus Adam.
+"""Small reverse-mode autodiff over numpy buffers, plus Adam.
+
+A tensor holds float64, except that data handed over as float32 stays
+float32 where no tape is built (inside ``no_grad()``): rollouts, which read
+only argmaxes, run in single precision, while every tensor of a tape, and
+so training, ``grad_check`` and Adam, stays float64.  The ops keep the
+dtype of their operands.
 
 A dynamic tape is rebuilt on every forward pass.  Backward consumes it in a
 fixed topological order, so single-threaded runs are bit-reproducible: each
@@ -63,7 +69,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if _grad_enabled or data.dtype != np.float32:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.grad: np.ndarray | None = None
         self._owns_grad = False
         if not _grad_enabled:
@@ -192,12 +201,13 @@ def attention(q, k, v, back, key_bias, heads: int) -> Tensor:
     scores, so a large negative entry masks a padded key.  Each of the
     ``heads`` heads attends over ``d / heads`` columns; the result holds the
     merged heads of the N rows.  A key bias as large and negative as the
-    model's -1e9 gives a masked key softmax weight exactly 0.0, so padded
-    keys add nothing to the result.
+    model's -1e9 gives a masked key softmax weight exactly 0.0, in float64
+    and in float32, so padded keys add nothing to the result.  The padding
+    and the key bias take the dtype of ``q``.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     back = np.asarray(back, dtype=np.int64)
-    key_bias = np.asarray(key_bias, dtype=np.float64)
+    key_bias = np.asarray(key_bias, dtype=q.data.dtype)
     positions = key_bias.shape[0] * key_bias.shape[-1] if key_bias.ndim == 4 else 0
     if (q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape
             or back.shape != q.shape[:1] or heads < 1 or q.shape[1] % heads
@@ -214,7 +224,7 @@ def attention(q, k, v, back, key_bias, heads: int) -> Tensor:
     # and permuted into heads, q k^T, scaled, masked, softmax, times v, and
     # the heads merged and the rows taken back; backward mirrors each step
     def heads_of(rows, axes):  # rows_of undoes it; each is the other's backward
-        padded = np.zeros((batch * length, d))
+        padded = np.zeros((batch * length, d), dtype=q.data.dtype)
         padded[back] = rows
         return np.transpose(padded.reshape((batch, length, heads, dh)), axes)
 

@@ -26,7 +26,7 @@ from .model import (CheckpointError, ModelConfig, ModelError, TrainConfig,
                     load_checkpoint, save_checkpoint, train)
 from .vocab import VocabularyError
 from .world import (SPLITS, Corpus, WorldError, WorldSpec, load_corpus, load_spec,
-                    make_corpus, save_corpus)
+                    make_corpus, read_utf8, save_corpus)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,7 +48,7 @@ def read_config_file(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
     out: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_utf8(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -453,7 +453,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (CheckpointError, WorldError, json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (CheckpointError, WorldError, json.JSONDecodeError) as e:
         print(f"format error: {e}", file=sys.stderr)
         return EXIT_FORMAT
     except (RuntimeError, FloatingPointError) as e:

@@ -113,12 +113,17 @@ def denoise_loop(model, conditions, starts, steps: int, pins=None
     """Roll out every start together, applying predicted scripts for
     t = steps .. 1; returns (final state, trace) per start, in order.
 
-    Rollout i denoises ``starts[i]`` under ``conditions[i]``.  Each step
-    hands the live rollouts to ``model.predict_script`` in batches of
-    ``ROLLOUTS_PER_FORWARD``.  ``pins[i]``, when given and non-empty, pins
-    words hard: ops at pinned positions are overridden to KEEP before each
-    application, and pin positions are remapped through the edit so the
-    pinned words survive every step.
+    Rollout i denoises ``starts[i]`` under ``conditions[i]``.  The loop
+    runs on ``model.for_rollouts()``, made once per call; for a
+    ``DenoiserModel`` that is a float32 copy of its parameters, since a step
+    reads only the argmaxes of the heads, and a copy made per call cannot
+    miss a later parameter update.  Each step hands the live rollouts to
+    that model's ``predict_script`` in batches of ``ROLLOUTS_PER_FORWARD``.
+
+    ``pins[i]``, when given and non-empty, pins words hard: ops at pinned
+    positions are overridden to KEEP before each application, and pin
+    positions are remapped through the edit so the pinned words survive
+    every step.
 
     A model returns None for a caption that has grown past the longest
     input it reads.  That rollout then stops and keeps its last state, with
@@ -136,6 +141,7 @@ def denoise_loop(model, conditions, starts, steps: int, pins=None
         for pos in row_pins:
             if not 0 <= pos < len(c):
                 raise EditError(f"pinned position {pos} out of range for length {len(c)}")
+    model = model.for_rollouts()
     traces: list[list[TraceStep]] = [[] for _ in states]
     live = list(range(len(states)))
     for t in range(steps, 0, -1):

@@ -132,6 +132,20 @@ class DenoiserModel:
     def param_list(self) -> list[Tensor]:
         return list(self.params.values())
 
+    def for_rollouts(self) -> DenoiserModel:
+        """A float32 twin of the model, for tape-free rollouts: the
+        parameters and the position and time tables are cast once, and the
+        config is shared.  The twin is a snapshot: ``denoise_loop`` makes
+        one per call, so no twin outlives a parameter update."""
+        twin = DenoiserModel.__new__(DenoiserModel)
+        twin.cfg = self.cfg
+        with ad.no_grad():
+            twin.params = {name: Tensor(p.data.astype(np.float32))
+                           for name, p in self.params.items()}
+        twin.pos_table = self.pos_table.astype(np.float32)
+        twin.time_table = self.time_table.astype(np.float32)
+        return twin
+
     def _ln(self, x: Tensor, prefix: str) -> Tensor:
         return ad.layer_norm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
 
@@ -181,9 +195,11 @@ class DenoiserModel:
         the feed-forward blocks and the heads run on all N rows together;
         only attention gathers the rows into padded [B, H, L, dh] sequences
         behind a key-padding mask.  Returns (op_logits, word_logits) of the
-        START + caption rows, l_b + 1 per example, in example order.
+        START + caption rows, l_b + 1 per example, in example order, in the
+        dtype of the parameters.
         """
         cfg = self.cfg
+        dtype = self.params["word_emb"].data.dtype
         conditions = [list(c) for c in conditions]
         captions = [list(c) for c in captions]
         if not len(conditions) == len(captions) == len(ts) >= 1:
@@ -208,7 +224,7 @@ class DenoiserModel:
         n_cond = int(cond_lens.sum())
         rows = self._ln(ad.take_rows(x, np.arange(n_cond, x.shape[0])), "ln_f")
         op_logits = self._linear(rows, "edit_head")
-        sentinel_mask = np.zeros((rows.shape[0], 4))
+        sentinel_mask = np.zeros((rows.shape[0], 4), dtype=dtype)
         starts = np.cumsum(word_lens) - word_lens
         sentinel_mask[starts, int(EditOp.REPLACE)] = NEG_INF
         sentinel_mask[starts, int(EditOp.DELETE)] = NEG_INF
@@ -216,7 +232,7 @@ class DenoiserModel:
         word_logits = self._linear(rows, "lang_head")
         # special ids never appear inside captions, so the content head
         # must not be able to emit them
-        special_mask = np.zeros((1, cfg.vocab_size))
+        special_mask = np.zeros((1, cfg.vocab_size), dtype=dtype)
         special_mask[0, :NUM_SPECIALS] = NEG_INF
         word_logits = ad.add(word_logits, Tensor(special_mask))
         return op_logits, word_logits

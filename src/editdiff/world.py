@@ -51,6 +51,15 @@ class WorldError(ValueError):
     pass
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; a file that is not UTF-8 raises
+    ``WorldError`` with a message that starts with its path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise WorldError(f"{path}: {e}") from None
+
+
 @dataclass(frozen=True)
 class WorldSpec:
     entities: tuple[str, ...] = ENTITIES
@@ -220,7 +229,7 @@ def spec_inventories(obj, source: str) -> dict[str, tuple[str, ...]]:
 
 def load_spec(path: str | Path) -> WorldSpec:
     """A ``WorldSpec`` with the inventories of a JSON spec file."""
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    obj = json.loads(read_utf8(path))
     return WorldSpec(**spec_inventories(obj, str(path)))
 
 
@@ -229,7 +238,7 @@ def load_corpus(in_dir: str | Path) -> Corpus:
     holds the wrong kind of JSON value, a vocabulary that is not the one the
     spec builds, or an id outside its vocabulary raises ``WorldError``."""
     in_dir = Path(in_dir)
-    meta = json.loads((in_dir / "meta.json").read_text(encoding="utf-8"))
+    meta = json.loads(read_utf8(in_dir / "meta.json"))
     try:
         spec = WorldSpec(**spec_inventories(meta, "meta.json"))
         seed, recorded_hash = meta["seed"], meta["hash"]
@@ -237,7 +246,7 @@ def load_corpus(in_dir: str | Path) -> Corpus:
         raise WorldError(f"meta.json needs the spec's fields and the hash: "
                          f"{type(e).__name__} {e}") from None
     vocab = build_world_vocab(spec)
-    if (in_dir / "vocab.txt").read_text(encoding="utf-8").splitlines() != list(vocab.tokens):
+    if read_utf8(in_dir / "vocab.txt").splitlines() != list(vocab.tokens):
         raise WorldError("vocab.txt is not the vocabulary of the corpus's spec")
     corpus = Corpus(spec, vocab, seed)
     # the distinct ids, checked once at the end: a set per row costs less
@@ -245,7 +254,7 @@ def load_corpus(in_dir: str | Path) -> Corpus:
     caption_ids: set = set()
     condition_ids: set = set()
     for split in SPLITS:
-        rows = (in_dir / f"{split}.jsonl").read_text(encoding="utf-8").splitlines()
+        rows = read_utf8(in_dir / f"{split}.jsonl").splitlines()
         for line, row in enumerate(rows, 1):
             obj = json.loads(row)
             try:

@@ -229,6 +229,29 @@ def test_no_grad_builds_no_tape():
     assert z.requires_grad and z._parents == (a, a)
 
 
+def test_float32_data_stays_float32_only_where_no_tape_is_built():
+    rng = np.random.default_rng(21)
+    narrow = rng.normal(size=(5, 6)).astype(np.float32)
+    assert Tensor(narrow).data.dtype == np.float64
+    assert Tensor(narrow, requires_grad=True).data.dtype == np.float64
+    (q, k, v), back, key_bias = _ragged_attention_inputs(rng)
+    wide = ad.attention(q, k, v, back, key_bias, 2)
+    with ad.no_grad():
+        assert Tensor(narrow).data.dtype == np.float32
+        assert Tensor(narrow.astype(np.float64)).data.dtype == np.float64
+        assert Tensor(3).data.dtype == np.float64
+        q32, k32, v32 = (Tensor(t.data.astype(np.float32)) for t in (q, k, v))
+        out = ad.attention(q32, k32, v32, back, key_bias, 2)
+        h = ad.layer_norm(ad.silu(ad.add(out, ad.scale(q32, 0.5))),
+                          Tensor(narrow[0]), Tensor(narrow[1]))
+        rows = ad.concat([ad.gather(h, [0, 2]), ad.take_rows(h, [1, 3])])
+        y = ad.linear(rows, Tensor(narrow.T[:, :4]), Tensor(narrow[2, :4]))
+    assert out.data.dtype == y.data.dtype == np.float32
+    np.testing.assert_allclose(out.data, wide.data, rtol=1e-5, atol=1e-6)
+    # an op under grad mode gives float64 whatever its operands hold
+    assert ad.add(Tensor(narrow), narrow).data.dtype == np.float64
+
+
 def test_no_grad_is_restored_after_an_exception():
     a = leaf([1.0])
     with pytest.raises(ShapeError):

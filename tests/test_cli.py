@@ -278,6 +278,29 @@ def test_malformed_corpus_is_format_error(tmp_path, capsys, damage):
 SPEC = {"entities": ["cat", "dog"], "attributes": ["red"], "relations": ["tree"]}
 
 
+@pytest.mark.parametrize("name", ["meta.json", "vocab.txt", "train.jsonl", "val.jsonl",
+                                  "test.jsonl", "run.cfg", "spec.json"])
+def test_non_utf8_file_is_format_error_naming_it(tmp_path, capsys, name):
+    corpus_dir = tmp_path / "corpus"
+    save_corpus(make_corpus(WorldSpec(), 10, seed=0), corpus_dir)
+    (tmp_path / "run.cfg").write_text("seed=1\n", encoding="utf-8")
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC), encoding="utf-8")
+    bad = tmp_path / name if name in ("run.cfg", "spec.json") else corpus_dir / name
+    with open(bad, "ab") as f:
+        f.write(b"\xff")
+    out = tmp_path / "out"
+    if name == "run.cfg":
+        argv = ["synth", "--config", str(bad)]
+    elif name == "spec.json":
+        argv = ["synth", "--spec", str(bad)]
+    else:
+        argv = ["train", "--corpus", str(corpus_dir)]
+    code = main(argv + ["--out", str(out)])
+    assert code == EXIT_FORMAT
+    assert capsys.readouterr().err.startswith(f"format error: {bad}: 'utf-8' codec")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     json.dumps({"entities": SPEC["entities"]}),                       # missing fields
     json.dumps([SPEC["entities"], SPEC["attributes"]]),               # not an object

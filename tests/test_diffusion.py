@@ -125,6 +125,9 @@ def test_make_random_sequence():
 
 
 class AllKeepModel:
+    def for_rollouts(self):
+        return self
+
     def predict_script(self, conditions, captions, t):
         return [all_keep_script(len(c)) for c in captions]
 
@@ -135,6 +138,9 @@ class ScriptedModel:
     def __init__(self, first):
         self.first = first
         self.calls = 0
+
+    def for_rollouts(self):
+        return self
 
     def predict_script(self, conditions, captions, t):
         self.calls += 1
@@ -148,6 +154,9 @@ class GrowingModel:
 
     def __init__(self):
         self.batches = []
+
+    def for_rollouts(self):
+        return self
 
     def predict_script(self, conditions, captions, t):
         self.batches.append(len(captions))

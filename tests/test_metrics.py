@@ -140,6 +140,9 @@ class OracleModel:
                         for split in ("train", "val", "test")
                         for ex in corpus.split(split)}
 
+    def for_rollouts(self):
+        return self
+
     def predict_script(self, conditions, captions, t):
         from editdiff.align import align
         return [align(c, self.by_cond[tuple(cond)]) for cond, c in zip(conditions, captions)]

@@ -23,6 +23,7 @@ from editdiff.model import (
     script_targets,
     train,
 )
+from editdiff.vocab import NUM_SPECIALS
 from editdiff.world import WorldSpec, make_corpus
 from helpers import unfused_attention, unfused_layer_norm, unfused_linear
 
@@ -432,23 +433,100 @@ def test_predict_script_is_tape_free_and_skips_overlong_captions():
     m = tiny_model()
     fits = CaptionState.from_ids([5] * 5)
     too_long = CaptionState.from_ids([5] * 15)  # 1 + 1 + 15 > max_seq_len 16
-    a, b, c = m.predict_script([[0], [0], []], [fits, too_long, fits], t=2)
-    assert b is None
-    assert a is not None and len(a) == 6 and c is not None
-    ad_tensors = []
-    real = ad.Tensor.__init__
+    # the model itself, and the float32 twin that rollouts run on
+    for model, dtype in ((m, np.float64), (m.for_rollouts(), np.float32)):
+        a, b, c = model.predict_script([[0], [0], []], [fits, too_long, fits], t=2)
+        assert b is None
+        assert a is not None and len(a) == 6 and c is not None
+        ad_tensors = []
+        real = ad.Tensor.__init__
 
-    def spy(self, *args, **kwargs):
-        real(self, *args, **kwargs)
-        ad_tensors.append(self)
+        def spy(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            ad_tensors.append(self)
 
-    ad.Tensor.__init__ = spy
-    try:
-        m.predict_script([[0]], [fits], t=2)
-    finally:
-        ad.Tensor.__init__ = real
-    assert ad_tensors and all(not t._parents and t._backward is None for t in ad_tensors)
+        ad.Tensor.__init__ = spy
+        try:
+            model.predict_script([[0]], [fits], t=2)
+        finally:
+            ad.Tensor.__init__ = real
+        assert ad_tensors and all(not t._parents and t._backward is None for t in ad_tensors)
+        assert all(t.data.dtype == dtype for t in ad_tensors if t.data.ndim == 2)
     assert all(p.requires_grad for p in m.param_list())
+
+
+def _random_batch(cfg, rng, n=6):
+    conditions = [rng.integers(0, cfg.cond_vocab_size, size=rng.integers(1, 5)).tolist()
+                  for _ in range(n)]
+    captions = [rng.integers(NUM_SPECIALS, cfg.vocab_size, size=rng.integers(0, 9)).tolist()
+                for _ in range(n)]
+    return conditions, captions, rng.integers(1, cfg.max_T + 1, size=n).tolist()
+
+
+# float32 logits of the rollout twin lie within this fraction of the
+# largest float64 logit of their batch (about 84 float32 ulps)
+F32_TOLERANCE = 1e-5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_rollout_twin_is_float32_and_matches_the_float64_forward(seed):
+    cfg = ModelConfig(vocab_size=20, cond_vocab_size=9, embed_dim=16, num_layers=2,
+                      num_heads=2, ffn_dim=32, max_seq_len=16, seed=seed)
+    m = DenoiserModel(cfg)
+    twin = m.for_rollouts()
+    assert twin.cfg is m.cfg and twin.params.keys() == m.params.keys()
+    assert all(t.data.dtype == np.float32 and not t.requires_grad for t in twin.param_list())
+    assert twin.pos_table.dtype == twin.time_table.dtype == np.float32
+    assert all(p.data.dtype == np.float64 and p.requires_grad for p in m.param_list())
+    batch = _random_batch(cfg, np.random.default_rng(seed))
+    with ad.no_grad():
+        wide = m.forward_packed(*batch)
+        narrow = twin.forward_packed(*batch)
+    compared = 0
+    for w, n in zip(wide, narrow):
+        assert w.data.dtype == np.float64 and n.data.dtype == np.float32
+        masked = w.data < -1e8
+        assert np.array_equal(masked, n.data < -1e8)
+        tol = F32_TOLERANCE * np.abs(w.data[~masked]).max()
+        assert np.abs(n.data - w.data)[~masked].max() <= tol
+        top2 = np.sort(w.data, axis=1)[:, -2:]
+        clear = top2[:, 1] - top2[:, 0] > 2 * tol
+        assert np.array_equal(np.argmax(n.data, axis=1)[clear], np.argmax(w.data, axis=1)[clear])
+        compared += clear.sum()
+    # nearly every row has a clear margin, so the argmax check is not vacuous
+    assert compared > 0.9 * 2 * wide[0].shape[0]
+
+
+def test_rollout_after_an_adam_step_sees_the_new_parameters(monkeypatch, tmp_path):
+    corpus = make_corpus(WorldSpec(), 30, seed=11)
+    cfg = ModelConfig(vocab_size=corpus.vocab.size, cond_vocab_size=corpus.spec.cond_vocab_size,
+                      embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32, seed=5)
+    m = DenoiserModel(cfg)
+    rng = np.random.default_rng(1)
+    examples = corpus.train[:4]
+    conditions = [ex.condition for ex in examples]
+    starts = [make_random_sequence(6, corpus.vocab, rng, step=4) for _ in examples]
+    seen = []
+    real = DenoiserModel.predict_script
+
+    def spy(self, *args):
+        seen.append(self.params["lang_head.w"].data)
+        return real(self, *args)
+
+    monkeypatch.setattr(DenoiserModel, "predict_script", spy)
+    before = denoise_loop(m, conditions, starts, 4)
+    stale = seen[-1]
+    op_logits, word_logits = m.forward_packed(conditions, [s.ids() for s in starts], [4] * 4)
+    scripts = [EditScript(((K, None),) + tuple((R, w) for w in ex.caption[:6]))
+               for ex in examples]
+    backward(model_loss(op_logits, word_logits, scripts)[0])
+    ad.Adam(m.param_list()).step(lr=0.05)
+    after = denoise_loop(m, conditions, starts, 4)
+    assert np.array_equal(seen[-1], m.params["lang_head.w"].data.astype(np.float32))
+    assert not np.array_equal(seen[-1], stale)
+    assert after != before
+    save_checkpoint(m, tmp_path / "m.ckpt")
+    assert after == denoise_loop(load_checkpoint(tmp_path / "m.ckpt")[0], conditions, starts, 4)
 
 
 def test_batched_rollouts_match_single_rollouts():
