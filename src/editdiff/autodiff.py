@@ -1,23 +1,24 @@
 """Small reverse-mode autodiff over numpy buffers, plus Adam.
 
-A tensor holds float64, except that data handed over as float32 stays
-float32 where no tape is built (inside ``no_grad()``): rollouts, which read
-only argmaxes, run in single precision, while every tensor of a tape, and
-so training, ``grad_check`` and Adam, stays float64.  The ops keep the
-dtype of their operands.
+A node is recorded, keeping its parents and backward closure, exactly when
+one of its inputs requires grad, so a forward over parameters that do not
+require grad builds no tape.  A tensor that requires grad holds float64;
+any other keeps float32 data as float32: rollouts, which read only
+argmaxes, run in single precision on float32 parameters, while every tape
+has a float64 leaf, and numpy promotes float32 operands to float64.  The
+ops keep the dtype of their operands.
 
 A dynamic tape is rebuilt on every forward pass.  Backward consumes it in a
 fixed topological order, so single-threaded runs are bit-reproducible: each
 node drops its parents and its backward closure as soon as it has passed its
 gradient on, so the graph is freed while backward runs and a graph can be
 differentiated only once.  Tensors the caller still holds keep their
-``.grad``.  Inside ``no_grad()`` no tape is built at all.  Only the nodes
-the denoiser needs are implemented; shapes are checked eagerly and errors
-name the offending op.  ``linear``, ``layer_norm`` and ``attention`` are
-each one node for a whole block (an affine map, a layer norm with its gain
-and bias, multi-head attention over padded sequences).  Each repeats the
-numpy calls of the chain of primitive nodes it stands for, so it gives that
-chain's bits with fewer tape nodes.
+``.grad``.  Only the nodes the denoiser needs are implemented; shapes are
+checked eagerly and errors name the offending op.  ``linear``,
+``layer_norm`` and ``attention`` are each one node for a whole block (an
+affine map, a layer norm with its gain and bias, multi-head attention over
+padded sequences).  Each repeats the numpy calls of the chain of primitive
+nodes it stands for, so it gives that chain's bits with fewer tape nodes.
 
 Gradients are not copied on the way: a tensor's first gradient becomes its
 ``.grad`` as it is handed over, and may be shared with another tensor (``add``
@@ -30,7 +31,6 @@ allocated itself for a second gradient.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -49,37 +49,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Build no tape inside the block: results keep no parents and no backward
-    closure and do not require grad.  The previous mode is restored on exit,
-    also when the block raises."""
-    global _grad_enabled
-    previous, _grad_enabled = _grad_enabled, False
-    try:
-        yield
-    finally:
-        _grad_enabled = previous
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         data = np.asarray(data)
-        if _grad_enabled or data.dtype != np.float32:
+        if self.requires_grad or data.dtype != np.float32:
             data = np.asarray(data, dtype=np.float64)
         self.data = data
         self.grad: np.ndarray | None = None
         self._owns_grad = False
-        if not _grad_enabled:
-            parents, backward = (), None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents
-        self._backward = backward
+        self._parents, self._backward = (parents, backward) if self.requires_grad else ((), None)
 
     @property
     def shape(self):
@@ -152,13 +133,13 @@ def linear(x, w, b) -> Tensor:
 def silu(a) -> Tensor:
     """x * sigmoid(x); smooth, so finite-difference checks stay clean."""
     a = as_tensor(a)
-    # computed in one buffer; with no tape, sig is not kept for backward
-    # and the buffer takes the output too
+    # computed in one buffer; when a does not require grad, sig is not kept
+    # for backward and the buffer takes the output too
     sig = np.negative(a.data)
     np.exp(sig, out=sig)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
-    out_data = np.multiply(a.data, sig, out=None if _grad_enabled else sig)
+    out_data = np.multiply(a.data, sig, out=None if a.requires_grad else sig)
 
     def bwd(g, a=a, sig=sig):
         a._accum(g * sig * (1.0 + a.data * (1.0 - sig)))
@@ -166,7 +147,10 @@ def silu(a) -> Tensor:
     return Tensor(out_data, parents=(a,), backward=bwd)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize each row of a 2-D ``x`` to zero mean / unit variance, then
     scale by ``gain`` and shift by ``bias``, as one node."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
@@ -175,7 +159,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
                          f"and {bias.shape}")
     mean = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mean) * inv
     out_data = xhat * gain.data
     out_data += bias.data
@@ -303,7 +287,8 @@ def cross_entropy(logits, targets, mask=None, example=None) -> Tensor:
     is then the sum over examples of each example's masked mean, and an
     example with no unmasked rows contributes nothing.  Without it all rows
     form one example.  Masked-out rows contribute nothing to the value and
-    receive exactly zero gradient.  An all-false mask yields a constant 0.
+    receive exactly zero gradient, so an all-false mask yields 0.0 and an
+    all-zero gradient.
     """
     logits = as_tensor(logits)
     if logits.data.ndim != 2:
@@ -317,8 +302,6 @@ def cross_entropy(logits, targets, mask=None, example=None) -> Tensor:
     if example.shape != (rows,):
         raise ShapeError(f"cross_entropy: {rows} logit rows vs example ids {example.shape}")
     counts = np.bincount(example, weights=mask)
-    if not counts.any():
-        return Tensor(0.0)
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1)) + logits.data.max(axis=-1)
     picked = logits.data[np.arange(rows), targets]

@@ -123,15 +123,24 @@ def add_flags(p: argparse.ArgumentParser, defaults: dict) -> None:
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default))
 
 
-def load_model_checked(ckpt: str, corpus: Corpus):
-    model, meta = load_checkpoint(ckpt)
+def check_steps(steps: int, max_T: int) -> None:
+    """A rollout of ``steps`` steps reads time steps ``steps`` down to 1, so
+    it needs ``1 <= steps <= max_T``; checked before any file is written."""
+    if not 1 <= steps <= max_T:
+        raise ModelError(f"--steps {steps} outside 1..{max_T}, the time steps the model embeds")
+
+
+def load_model_checked(ckpt: str, corpus: Corpus, steps: int):
+    """The checkpoint's model, checked against the corpus and ``steps``."""
+    model, _ = load_checkpoint(ckpt)
     if model.cfg.vocab_size != corpus.vocab.size:
         raise CheckpointError(
             f"checkpoint vocab size {model.cfg.vocab_size} does not match "
             f"corpus vocab size {corpus.vocab.size}")
     if model.cfg.cond_vocab_size != corpus.spec.cond_vocab_size:
         raise CheckpointError("checkpoint condition vocabulary does not match corpus")
-    return model, meta
+    check_steps(steps, model.cfg.max_T)
+    return model
 
 
 def find_example(corpus: Corpus, scene_id: int):
@@ -242,7 +251,7 @@ def cmd_train(args) -> int:
 def cmd_edit(args) -> int:
     cfg = resolve(args, {}, ROLLOUT_DEFAULTS)
     corpus = load_corpus(args.corpus)
-    model, _ = load_model_checked(args.ckpt, corpus)
+    model = load_model_checked(args.ckpt, corpus, cfg["steps"])
     ex = find_example(corpus, args.scene)
     announce_config("edit", {**cfg, "ckpt": args.ckpt, "scene": args.scene,
                              "ref": args.ref})
@@ -262,7 +271,7 @@ def cmd_edit(args) -> int:
 def cmd_generate(args) -> int:
     cfg = resolve(args, {}, GENERATE_DEFAULTS)
     corpus = load_corpus(args.corpus)
-    model, _ = load_model_checked(args.ckpt, corpus)
+    model = load_model_checked(args.ckpt, corpus, cfg["steps"])
     ex = find_example(corpus, args.scene)
     announce_config("generate", {**cfg, "ckpt": args.ckpt, "scene": args.scene})
     rng = np.random.default_rng(cfg["seed"])
@@ -277,7 +286,7 @@ def cmd_generate(args) -> int:
 def cmd_control(args) -> int:
     cfg = resolve(args, {}, GENERATE_DEFAULTS)
     corpus = load_corpus(args.corpus)
-    model, _ = load_model_checked(args.ckpt, corpus)
+    model = load_model_checked(args.ckpt, corpus, cfg["steps"])
     ex = find_example(corpus, args.scene)
     announce_config("control", {**cfg, "ckpt": args.ckpt, "scene": args.scene,
                                 "pins": args.pins, "mode": args.mode})
@@ -299,7 +308,7 @@ def cmd_control(args) -> int:
 def cmd_eval(args) -> int:
     cfg = resolve(args, {}, ROLLOUT_DEFAULTS)
     corpus = load_corpus(args.corpus)
-    model, _ = load_model_checked(args.ckpt, corpus)
+    model = load_model_checked(args.ckpt, corpus, cfg["steps"])
     out = Path(args.out)
     announce_config("eval", {**cfg, "ckpt": args.ckpt, "mode": args.mode,
                              "split": args.split, "limit": args.limit,
@@ -324,14 +333,16 @@ def cmd_ablate(args) -> int:
 
     cfg = resolve(args, {}, ABLATE_DEFAULTS)
     corpus = load_corpus(args.corpus)
+    if args.which == "rw-count":
+        model = load_model_checked(Path(args.ckpt_dir) / "model.ckpt", corpus, cfg["steps"])
+    else:  # the models it trains embed the default schedule's time steps
+        check_steps(cfg["steps"], TRAIN_DEFAULTS["T"])
     out = Path(args.out)
     announce_config("ablate", {**cfg, "which": args.which, "ckpt_dir": args.ckpt_dir,
                                "out": str(out)},
                     out.with_suffix(out.suffix + ".config"))
     rows = []
     if args.which == "rw-count":
-        ckpt = Path(args.ckpt_dir) / "model.ckpt"
-        model, _ = load_model_checked(ckpt, corpus)
         for n in range(8, 13):
             rep = evaluate(model, corpus, f"random:{n}", cfg["steps"], cfg["seed"],
                            limit=cfg["limit"])
@@ -453,7 +464,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (CheckpointError, WorldError, json.JSONDecodeError) as e:
+    except (CheckpointError, WorldError) as e:
         print(f"format error: {e}", file=sys.stderr)
         return EXIT_FORMAT
     except (RuntimeError, FloatingPointError) as e:

@@ -142,11 +142,9 @@ def evaluate(model, corpus: Corpus, mode: str, steps: int, seed: int,
     kind, arg = parse_mode(mode)
     vocab = corpus.vocab
     rng = np.random.default_rng(seed)
-    examples = corpus.split(split)
-    if limit is not None:
-        if limit < 0:
-            raise MetricError(f"limit must be >= 0, got {limit}")
-        examples = examples[:limit]
+    if limit is not None and limit < 1:
+        raise MetricError(f"limit must be >= 1, got {limit}")
+    examples = corpus.split(split)[:limit]
     if not examples:
         raise MetricError(f"split {split!r} is empty")
 

@@ -135,13 +135,14 @@ class DenoiserModel:
     def for_rollouts(self) -> DenoiserModel:
         """A float32 twin of the model, for tape-free rollouts: the
         parameters and the position and time tables are cast once, and the
-        config is shared.  The twin is a snapshot: ``denoise_loop`` makes
-        one per call, so no twin outlives a parameter update."""
+        config is shared.  No twin parameter requires grad, so the twin's
+        forward builds no tape and keeps float32 throughout.  The twin is a
+        snapshot: ``denoise_loop`` makes one per call, so no twin outlives a
+        parameter update."""
         twin = DenoiserModel.__new__(DenoiserModel)
         twin.cfg = self.cfg
-        with ad.no_grad():
-            twin.params = {name: Tensor(p.data.astype(np.float32))
-                           for name, p in self.params.items()}
+        twin.params = {name: Tensor(p.data.astype(np.float32))
+                       for name, p in self.params.items()}
         twin.pos_table = self.pos_table.astype(np.float32)
         twin.time_table = self.time_table.astype(np.float32)
         return twin
@@ -239,7 +240,8 @@ class DenoiserModel:
 
     def predict_script(self, conditions, captions, t: int) -> list[EditScript | None]:
         """Greedy argmax decoding of both heads into one well-formed script
-        per caption, all captions at step ``t`` in one tape-free forward.
+        per caption, all captions at step ``t`` in one forward, which is
+        float32 and tape-free on the twin that rollouts run on.
 
         A caption that has outgrown ``max_seq_len`` with its condition gets
         None, which ends its rollout (see ``denoise_loop``).
@@ -249,9 +251,8 @@ class DenoiserModel:
                 if len(cond) + 1 + len(c) <= self.cfg.max_seq_len]
         if not rows:
             return scripts
-        with ad.no_grad():
-            op_logits, word_logits = self.forward_packed(
-                [conditions[i] for i in rows], [captions[i].ids() for i in rows], [t] * len(rows))
+        op_logits, word_logits = self.forward_packed(
+            [conditions[i] for i in rows], [captions[i].ids() for i in rows], [t] * len(rows))
         ops = np.argmax(op_logits.data, axis=1).tolist()
         words = np.argmax(word_logits.data, axis=1).tolist()
         start = 0
@@ -382,8 +383,7 @@ def train(corpus, sch: NoiseSchedule, cfg: ModelConfig, hyper: TrainConfig,
         raise ModelError("empty training corpus")
     vocab = corpus.vocab
     model = DenoiserModel(cfg)
-    params = model.param_list()
-    adam = Adam(params)
+    adam = Adam(model.param_list())
     rng = np.random.default_rng(hyper.seed)
     n = len(corpus.train)
     steps_per_epoch = math.ceil(n / hyper.batch)
@@ -413,11 +413,6 @@ def train(corpus, sch: NoiseSchedule, cfg: ModelConfig, hyper: TrainConfig,
             backward(loss)
             edit_sum += l_edit
             lang_sum += l_lang
-            for p in params:
-                # a batch with no INSERT/REPLACE targets leaves the
-                # language head untouched; treat that as a zero gradient
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
             adam.step(lr=lr_at(opt_step, total_steps, hyper))
             opt_step += 1
         em = holdout_exact_match(model, corpus.val, sch, vocab, rng)

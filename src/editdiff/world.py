@@ -60,6 +60,16 @@ def read_utf8(path: str | Path) -> str:
         raise WorldError(f"{path}: {e}") from None
 
 
+def parse_json(text: str, path: str | Path, first_line: int = 1):
+    """The JSON value of ``text``, read from line ``first_line`` of ``path``
+    on; a syntax error raises ``WorldError`` naming the path, line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise WorldError(f"{path}: {e.msg} at line {first_line + e.lineno - 1} "
+                         f"column {e.colno}") from None
+
+
 @dataclass(frozen=True)
 class WorldSpec:
     entities: tuple[str, ...] = ENTITIES
@@ -229,7 +239,7 @@ def spec_inventories(obj, source: str) -> dict[str, tuple[str, ...]]:
 
 def load_spec(path: str | Path) -> WorldSpec:
     """A ``WorldSpec`` with the inventories of a JSON spec file."""
-    obj = json.loads(read_utf8(path))
+    obj = parse_json(read_utf8(path), path)
     return WorldSpec(**spec_inventories(obj, str(path)))
 
 
@@ -238,7 +248,7 @@ def load_corpus(in_dir: str | Path) -> Corpus:
     holds the wrong kind of JSON value, a vocabulary that is not the one the
     spec builds, or an id outside its vocabulary raises ``WorldError``."""
     in_dir = Path(in_dir)
-    meta = json.loads(read_utf8(in_dir / "meta.json"))
+    meta = parse_json(read_utf8(in_dir / "meta.json"), in_dir / "meta.json")
     try:
         spec = WorldSpec(**spec_inventories(meta, "meta.json"))
         seed, recorded_hash = meta["seed"], meta["hash"]
@@ -254,9 +264,9 @@ def load_corpus(in_dir: str | Path) -> Corpus:
     caption_ids: set = set()
     condition_ids: set = set()
     for split in SPLITS:
-        rows = read_utf8(in_dir / f"{split}.jsonl").splitlines()
-        for line, row in enumerate(rows, 1):
-            obj = json.loads(row)
+        path = in_dir / f"{split}.jsonl"
+        for line, row in enumerate(read_utf8(path).splitlines(), 1):
+            obj = parse_json(row, path, line)
             try:
                 example = Example(
                     obj["scene_id"],

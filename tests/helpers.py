@@ -44,12 +44,12 @@ def sum_all(a) -> Tensor:
     return Tensor(a.data.sum(), parents=(a,), backward=bwd)
 
 
-def plain_layer_norm(a, eps: float = 1e-5) -> Tensor:
+def plain_layer_norm(a) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (no affine)."""
     a = as_tensor(a)
     mean = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + ad.LAYER_NORM_EPS)
     xhat = (a.data - mean) * inv
 
     def bwd(g, a=a, inv=inv, xhat=xhat):

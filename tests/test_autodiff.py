@@ -106,8 +106,11 @@ def test_cross_entropy_all_false_mask_is_constant_zero():
     logits = leaf(np.ones((2, 3)))
     loss = ad.cross_entropy(logits, np.array([0, 1]), np.zeros(2, dtype=bool))
     assert float(loss.data) == 0.0
-    # constant: no path back to the logits
-    assert loss._parents == ()
+    # constant in the logits, yet a node: the logits, and whatever lies
+    # behind them, get an all-zero gradient
+    assert loss._parents == (logits,)
+    backward(loss)
+    assert np.array_equal(logits.grad, np.zeros((2, 3)))
 
 
 def test_cross_entropy_matches_manual_value():
@@ -219,48 +222,41 @@ def test_gather_nd_ids_route_gradients():
 
 
 def test_no_grad_builds_no_tape():
+    # a node is recorded exactly when one of its inputs requires grad
+    const = Tensor([1.0, 2.0])
+    y = sum_all(mul(ad.add(const, const), const))
+    assert not y.requires_grad
+    assert y._parents == () and y._backward is None
+    assert float(y.data) == 10.0
     a = leaf([1.0, 2.0])
-    with ad.no_grad():
-        y = sum_all(mul(ad.add(a, a), a))
-        assert not y.requires_grad
-        assert y._parents == () and y._backward is None
-        assert float(y.data) == 10.0
-    z = mul(a, a)
-    assert z.requires_grad and z._parents == (a, a)
+    z = mul(a, const)
+    assert z.requires_grad and z._parents == (a, const) and z._backward is not None
+    backward(sum_all(z))
+    assert np.array_equal(a.grad, const.data) and const.grad is None
 
 
 def test_float32_data_stays_float32_only_where_no_tape_is_built():
     rng = np.random.default_rng(21)
     narrow = rng.normal(size=(5, 6)).astype(np.float32)
-    assert Tensor(narrow).data.dtype == np.float64
+    assert Tensor(narrow).data.dtype == np.float32
     assert Tensor(narrow, requires_grad=True).data.dtype == np.float64
+    assert Tensor(narrow.astype(np.float64)).data.dtype == np.float64
+    assert Tensor(3).data.dtype == np.float64
     (q, k, v), back, key_bias = _ragged_attention_inputs(rng)
     wide = ad.attention(q, k, v, back, key_bias, 2)
-    with ad.no_grad():
-        assert Tensor(narrow).data.dtype == np.float32
-        assert Tensor(narrow.astype(np.float64)).data.dtype == np.float64
-        assert Tensor(3).data.dtype == np.float64
-        q32, k32, v32 = (Tensor(t.data.astype(np.float32)) for t in (q, k, v))
-        out = ad.attention(q32, k32, v32, back, key_bias, 2)
-        h = ad.layer_norm(ad.silu(ad.add(out, ad.scale(q32, 0.5))),
-                          Tensor(narrow[0]), Tensor(narrow[1]))
-        rows = ad.concat([ad.gather(h, [0, 2]), ad.take_rows(h, [1, 3])])
-        y = ad.linear(rows, Tensor(narrow.T[:, :4]), Tensor(narrow[2, :4]))
+    q32, k32, v32 = (Tensor(t.data.astype(np.float32)) for t in (q, k, v))
+    out = ad.attention(q32, k32, v32, back, key_bias, 2)
+    h = ad.layer_norm(ad.silu(ad.add(out, ad.scale(q32, 0.5))),
+                      Tensor(narrow[0]), Tensor(narrow[1]))
+    rows = ad.concat([ad.gather(h, [0, 2]), ad.take_rows(h, [1, 3])])
+    y = ad.linear(rows, Tensor(narrow.T[:, :4]), Tensor(narrow[2, :4]))
     assert out.data.dtype == y.data.dtype == np.float32
+    assert not y.requires_grad and y._parents == ()
     np.testing.assert_allclose(out.data, wide.data, rtol=1e-5, atol=1e-6)
-    # an op under grad mode gives float64 whatever its operands hold
-    assert ad.add(Tensor(narrow), narrow).data.dtype == np.float64
-
-
-def test_no_grad_is_restored_after_an_exception():
-    a = leaf([1.0])
-    with pytest.raises(ShapeError):
-        with ad.no_grad():
-            with ad.no_grad():
-                pass
-            assert not ad.add(a, a).requires_grad
-            matmul(a, a)
-    assert ad.add(a, a).requires_grad
+    # a float32 operand of a node that requires grad is promoted to float64
+    mixed = ad.add(Tensor(narrow), leaf(np.zeros(6)))
+    assert mixed.requires_grad and mixed.data.dtype == np.float64
+    assert ad.silu(Tensor(narrow, requires_grad=True)).data.dtype == np.float64
 
 
 def test_scatter_rows_and_take_rows_undo_each_other():

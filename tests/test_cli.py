@@ -301,6 +301,33 @@ def test_non_utf8_file_is_format_error_naming_it(tmp_path, capsys, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["meta.json", "train.jsonl", "val.jsonl", "test.jsonl",
+                                  "spec.json"])
+def test_json_syntax_error_is_format_error_naming_file_and_line(tmp_path, capsys, name):
+    corpus_dir = tmp_path / "corpus"
+    save_corpus(make_corpus(WorldSpec(), 10, seed=0), corpus_dir)
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC), encoding="utf-8")
+    bad = tmp_path / name if name == "spec.json" else corpus_dir / name
+    if name.endswith(".jsonl"):  # a row appended after the file's last row
+        line = len(bad.read_text(encoding="utf-8").splitlines()) + 1
+        with open(bad, "a", encoding="utf-8") as f:
+            f.write("{not json\n")
+        where = f"line {line} column 2"
+    else:
+        bad.write_text('{"entities": [', encoding="utf-8")
+        where = "line 1 column 15"
+    out = tmp_path / "out"
+    if name == "spec.json":
+        argv = ["synth", "--spec", str(bad)]
+    else:
+        argv = ["train", "--corpus", str(corpus_dir)]
+    code = main(argv + ["--out", str(out)])
+    assert code == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith(f"format error: {bad}: ") and f" at {where}\n" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     json.dumps({"entities": SPEC["entities"]}),                       # missing fields
     json.dumps([SPEC["entities"], SPEC["attributes"]]),               # not an object
@@ -427,6 +454,48 @@ def test_eval_bad_ratio_or_limit_is_usage_error(trained, tmp_path, capsys, flags
                  "--out", str(tmp_path / "r.json")])
     assert code == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "edit", "generate", "control", "rw-count",
+                                     "edit-dist"])
+@pytest.mark.parametrize("steps", ["0", "11"])
+def test_steps_outside_the_model_time_steps_is_usage_error_before_any_file(
+        trained, tmp_path, capsys, command, steps):
+    # the tiny checkpoint, and the models edit-dist would train, embed t = 1..10
+    corpus_dir, ckpt = trained
+    corpus = load_corpus(corpus_dir)
+    ex = corpus.test[0]
+    scene = ["--scene", str(ex.scene_id)]
+    out = tmp_path / "out" / "r.json"
+    ckpt_dir = tmp_path / "out" / "ckpts"
+    argv = {
+        "eval": ["eval", "--ckpt", str(ckpt), "--mode", "random:10", "--out", str(out)],
+        "edit": ["edit", "--ckpt", str(ckpt), *scene, "--ref", "the",
+                 "--trace", str(out)],
+        "generate": ["generate", "--ckpt", str(ckpt), *scene],
+        "control": ["control", "--ckpt", str(ckpt), *scene,
+                    "--pins", f"0={corpus.vocab.decode(ex.caption[0])}"],
+        "rw-count": ["ablate", "--which", "rw-count", "--ckpt-dir", str(ckpt.parent),
+                     "--out", str(out)],
+        "edit-dist": ["ablate", "--which", "edit-dist", "--ckpt-dir", str(ckpt_dir),
+                      "--out", str(out)],
+    }[command]
+    (tmp_path / "out").mkdir()
+    code = main(argv + ["--corpus", str(corpus_dir), "--steps", steps])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"usage error: --steps {steps} outside 1..10" in captured.err
+    assert "effective config" not in captured.out
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_eval_limit_zero_is_usage_error_naming_the_limit(trained, tmp_path, capsys):
+    corpus_dir, ckpt = trained
+    code = main(["eval", "--ckpt", str(ckpt), "--corpus", str(corpus_dir),
+                 "--mode", "random:10", "--limit", "0", "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_USAGE
+    assert "usage error: limit must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 

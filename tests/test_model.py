@@ -433,25 +433,26 @@ def test_predict_script_is_tape_free_and_skips_overlong_captions():
     m = tiny_model()
     fits = CaptionState.from_ids([5] * 5)
     too_long = CaptionState.from_ids([5] * 15)  # 1 + 1 + 15 > max_seq_len 16
-    # the model itself, and the float32 twin that rollouts run on
-    for model, dtype in ((m, np.float64), (m.for_rollouts(), np.float32)):
+    twin = m.for_rollouts()  # the float32 twin that rollouts run on
+    for model in (m, twin):
         a, b, c = model.predict_script([[0], [0], []], [fits, too_long, fits], t=2)
         assert b is None
         assert a is not None and len(a) == 6 and c is not None
-        ad_tensors = []
-        real = ad.Tensor.__init__
+    ad_tensors = []
+    real = ad.Tensor.__init__
 
-        def spy(self, *args, **kwargs):
-            real(self, *args, **kwargs)
-            ad_tensors.append(self)
+    def spy(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        ad_tensors.append(self)
 
-        ad.Tensor.__init__ = spy
-        try:
-            model.predict_script([[0]], [fits], t=2)
-        finally:
-            ad.Tensor.__init__ = real
-        assert ad_tensors and all(not t._parents and t._backward is None for t in ad_tensors)
-        assert all(t.data.dtype == dtype for t in ad_tensors if t.data.ndim == 2)
+    ad.Tensor.__init__ = spy
+    try:
+        twin.predict_script([[0]], [fits], t=2)
+    finally:
+        ad.Tensor.__init__ = real
+    assert ad_tensors and all(not t.requires_grad and not t._parents and t._backward is None
+                              for t in ad_tensors)
+    assert all(t.data.dtype == np.float32 for t in ad_tensors if t.data.ndim == 2)
     assert all(p.requires_grad for p in m.param_list())
 
 
@@ -479,9 +480,9 @@ def test_rollout_twin_is_float32_and_matches_the_float64_forward(seed):
     assert twin.pos_table.dtype == twin.time_table.dtype == np.float32
     assert all(p.data.dtype == np.float64 and p.requires_grad for p in m.param_list())
     batch = _random_batch(cfg, np.random.default_rng(seed))
-    with ad.no_grad():
-        wide = m.forward_packed(*batch)
-        narrow = twin.forward_packed(*batch)
+    wide = m.forward_packed(*batch)
+    narrow = twin.forward_packed(*batch)
+    assert all(w.requires_grad and not n.requires_grad for w, n in zip(wide, narrow))
     compared = 0
     for w, n in zip(wide, narrow):
         assert w.data.dtype == np.float64 and n.data.dtype == np.float32
@@ -495,6 +496,23 @@ def test_rollout_twin_is_float32_and_matches_the_float64_forward(seed):
         compared += clear.sum()
     # nearly every row has a clear margin, so the argmax check is not vacuous
     assert compared > 0.9 * 2 * wide[0].shape[0]
+
+
+def test_a_batch_without_content_rows_gives_every_parameter_a_gradient():
+    # no INSERT/REPLACE row anywhere in the batch: the language loss is 0.0,
+    # and the language head gets an all-zero gradient rather than none
+    m = tiny_model()
+    op_logits, word_logits = m.forward_packed([[0], [1, 2]], [[5, 6], [7]], [2, 3])
+    scripts = [EditScript(((K, None), (K, None), (D, None))),
+               EditScript(((K, None), (D, None)))]
+    loss, _, l_lang = model_loss(op_logits, word_logits, scripts)
+    assert l_lang == 0.0
+    backward(loss)
+    assert all(p.grad is not None for p in m.param_list())
+    for name in ("lang_head.w", "lang_head.b"):
+        assert np.array_equal(m.params[name].grad, np.zeros_like(m.params[name].data))
+    assert np.any(m.params["edit_head.w"].grad != 0.0)
+    ad.Adam(m.param_list()).step(lr=1e-3)
 
 
 def test_rollout_after_an_adam_step_sees_the_new_parameters(monkeypatch, tmp_path):
