@@ -19,6 +19,7 @@ checked eagerly and errors name the offending op.  ``linear``,
 affine map, a layer norm with its gain and bias, multi-head attention over
 padded sequences).  Each repeats the numpy calls of the chain of primitive
 nodes it stands for, so it gives that chain's bits with fewer tape nodes.
+``gather`` is the one node that selects rows, and ``concat`` stacks rows.
 
 Gradients are not copied on the way: a tensor's first gradient becomes its
 ``.grad`` as it is handed over, and may be shared with another tensor (``add``
@@ -250,34 +251,19 @@ def gather(table, ids) -> Tensor:
     return Tensor(table.data[ids], parents=(table,), backward=bwd)
 
 
-def take_rows(a, ids) -> Tensor:
-    """Rows ``ids`` of ``a``, which must be distinct: a gather whose backward
-    writes each row's gradient back once instead of adding it."""
-    a = as_tensor(a)
-    ids = np.asarray(ids, dtype=np.int64)
-
-    def bwd(g, a=a, ids=ids):
-        buf = np.zeros_like(a.data)
-        buf[ids] = g
-        a._accum(buf)
-
-    return Tensor(a.data[ids], parents=(a,), backward=bwd)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
+def concat(tensors) -> Tensor:
+    """The rows of ``tensors`` stacked in order along the first axis."""
     tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
 
-    def bwd(g, ts=tensors, sizes=sizes, axis=axis):
+    def bwd(g, ts=tensors):
         offset = 0
-        for t, size in zip(ts, sizes):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(offset, offset + size)
-            t._accum(g[tuple(idx)])
+        for t in ts:
+            size = t.data.shape[0]
+            t._accum(g[offset:offset + size])
             offset += size
 
-    return Tensor(out_data, parents=tuple(tensors), backward=bwd)
+    return Tensor(np.concatenate([t.data for t in tensors]), parents=tuple(tensors),
+                  backward=bwd)
 
 
 def cross_entropy(logits, targets, mask=None, example=None) -> Tensor:

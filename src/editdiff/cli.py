@@ -20,11 +20,10 @@ import numpy as np
 from .align import lev_ratio
 from .diffusion import (denoise_loop, make_random_sequence, noising_chain, place_pins,
                         trace_to_jsonl_rows)
-from .edit_ops import CaptionState, EditError, EditOp, NoiseSchedule, Origin
-from .metrics import MetricError, contains_in_order, evaluate, write_report
+from .edit_ops import CaptionState, EditOp, NoiseSchedule, Origin
+from .metrics import MetricError, check_limit, contains_in_order, evaluate, write_report
 from .model import (CheckpointError, ModelConfig, ModelError, TrainConfig,
                     load_checkpoint, save_checkpoint, train)
-from .vocab import VocabularyError
 from .world import (SPLITS, Corpus, WorldError, WorldSpec, load_corpus, load_spec,
                     make_corpus, read_utf8, save_corpus)
 
@@ -168,7 +167,6 @@ def cmd_synth(args) -> int:
     cfg = resolve(args, read_config_file(args.config), SYNTH_DEFAULTS)
     out = Path(args.out)
     spec = load_spec(args.spec) if args.spec else WorldSpec()
-    announce_config("synth", {**cfg, "out": str(out)})
     try:
         corpus = make_corpus(spec, cfg["n"], cfg["seed"])
     except WorldError as e:  # too few or too many scenes asked of a valid spec
@@ -307,6 +305,7 @@ def cmd_control(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = resolve(args, {}, ROLLOUT_DEFAULTS)
+    check_limit(args.limit)
     corpus = load_corpus(args.corpus)
     model = load_model_checked(args.ckpt, corpus, cfg["steps"])
     out = Path(args.out)
@@ -332,6 +331,7 @@ def cmd_ablate(args) -> int:
     import csv
 
     cfg = resolve(args, {}, ABLATE_DEFAULTS)
+    check_limit(cfg["limit"])
     corpus = load_corpus(args.corpus)
     if args.which == "rw-count":
         model = load_model_checked(Path(args.ckpt_dir) / "model.ckpt", corpus, cfg["steps"])
@@ -467,10 +467,10 @@ def main(argv=None) -> int:
     except (CheckpointError, WorldError) as e:
         print(f"format error: {e}", file=sys.stderr)
         return EXIT_FORMAT
-    except (RuntimeError, FloatingPointError) as e:
+    except RuntimeError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (MetricError, EditError, ModelError, VocabularyError, ValueError) as e:
+    except ValueError as e:  # MetricError, EditError, ModelError, VocabularyError
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

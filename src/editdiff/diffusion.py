@@ -33,13 +33,18 @@ def noise_trajectory(x0, sch: NoiseSchedule, vocab: Vocabulary,
     return [start] + [state for _, state in noising_chain(start, sch, vocab, rng, sch.T)]
 
 
+# the training-state mixture's branch probabilities, also TrainConfig's defaults
+P_TERMINAL = 0.5
+P_TRUNCATE = 0.15
+
+
 def sample_denoising_example(x0, sch: NoiseSchedule, vocab: Vocabulary,
                              rng: np.random.Generator,
-                             p_terminal: float = 0.5,
-                             p_truncate: float = 0.15) -> tuple[CaptionState, int]:
+                             p_terminal: float = P_TERMINAL,
+                             p_truncate: float = P_TRUNCATE) -> tuple[CaptionState, int]:
     """Draw a training state from the mixture the reverse process visits.
 
-    Three branches:
+    Three branches, whose probabilities default to P_TERMINAL and P_TRUNCATE:
     - with probability p_terminal, the canonical generation start: target_len
       random words at t = T, which is the state every rollout begins from;
     - with probability p_truncate, the clean caption missing its last one or

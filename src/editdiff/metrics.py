@@ -136,14 +136,20 @@ def default_pins(x0, ref_len: int) -> dict[int, int]:
     return {positions[0]: words[0], positions[1]: words[1]}
 
 
-def evaluate(model, corpus: Corpus, mode: str, steps: int, seed: int,
+def check_limit(limit: int | None) -> None:
+    """A scene limit below 1 would keep no scene, or slice scenes off the end."""
+    if limit is not None and limit < 1:
+        raise MetricError(f"limit must be >= 1, got {limit}")
+
+
+def evaluate(model, corpus: Corpus, mode: str, steps: int, seed: int | np.random.Generator,
              split: str = "test", limit: int | None = None) -> dict:
-    """Run the denoiser over a split in the given mode and aggregate metrics."""
+    """Run the denoiser over a split in the given mode and aggregate metrics.
+    ``seed`` may be a ``Generator``, which then draws the starts itself."""
     kind, arg = parse_mode(mode)
     vocab = corpus.vocab
     rng = np.random.default_rng(seed)
-    if limit is not None and limit < 1:
-        raise MetricError(f"limit must be >= 1, got {limit}")
+    check_limit(limit)
     examples = corpus.split(split)[:limit]
     if not examples:
         raise MetricError(f"split {split!r} is empty")

@@ -22,9 +22,10 @@ import numpy as np
 from . import autodiff as ad
 from .align import align
 from .autodiff import Adam, Tensor, backward
-from .diffusion import denoise_loop, make_random_sequence, sample_denoising_example
-from .edit_ops import CaptionState, EditOp, EditScript, NoiseSchedule
-from .vocab import NUM_SPECIALS, START_ID, Vocabulary
+from .diffusion import P_TERMINAL, P_TRUNCATE, sample_denoising_example
+from .edit_ops import EditOp, EditScript, NoiseSchedule
+from .metrics import evaluate
+from .vocab import NUM_SPECIALS, START_ID
 
 CHECKPOINT_MAGIC = b"EDIF1"
 CHECKPOINT_VERSION = 1
@@ -181,7 +182,7 @@ class DenoiserModel:
         cond_x = ad.add(ad.add(ad.scale(ad.gather(self.params["cond_emb"], cond_ids), emb_gain),
                                Tensor(self.pos_table[_ranges(cond_lens)])),
                         ad.gather(seg, [0]))
-        return ad.concat([cond_x, word_x], axis=0)
+        return ad.concat([cond_x, word_x])
 
     def forward(self, condition, caption_ids, t: int) -> tuple[Tensor, Tensor]:
         """Return (op_logits, word_logits), each with l+1 rows (START first)."""
@@ -223,7 +224,7 @@ class DenoiserModel:
         # layer norm works row by row, so the condition rows, which no head
         # reads, are dropped before it
         n_cond = int(cond_lens.sum())
-        rows = self._ln(ad.take_rows(x, np.arange(n_cond, x.shape[0])), "ln_f")
+        rows = self._ln(ad.gather(x, np.arange(n_cond, x.shape[0])), "ln_f")
         op_logits = self._linear(rows, "edit_head")
         sentinel_mask = np.zeros((rows.shape[0], 4), dtype=dtype)
         starts = np.cumsum(word_lens) - word_lens
@@ -332,8 +333,8 @@ class TrainConfig:
     epochs: int = 30
     batch: int = 2
     warmup_frac: float = 0.05
-    p_terminal: float = 0.5
-    p_truncate: float = 0.15
+    p_terminal: float = P_TERMINAL
+    p_truncate: float = P_TRUNCATE
     seed: int = 0
 
     def __post_init__(self):
@@ -364,16 +365,15 @@ def lr_at(step: int, total_steps: int, hyper: TrainConfig) -> float:
     return hyper.lr * max(0.0, 1.0 - frac)
 
 
-def holdout_exact_match(model: DenoiserModel, examples, sch: NoiseSchedule,
-                        vocab: Vocabulary, rng: np.random.Generator) -> float:
-    """Fraction of the first HOLDOUT_CAP held-out scenes regenerated exactly from random words."""
-    subset = examples[:HOLDOUT_CAP]
-    if not subset:
+def holdout_exact_match(model: DenoiserModel, corpus, sch: NoiseSchedule,
+                        rng: np.random.Generator) -> float:
+    """``evaluate``'s exact match from random words, with starts drawn from
+    ``rng``, on the first HOLDOUT_CAP validation scenes; 0.0 if there are none."""
+    if not corpus.val:
         return 0.0
-    starts = [make_random_sequence(sch.target_len, vocab, rng, step=sch.T) for _ in subset]
-    results = denoise_loop(model, [ex.condition for ex in subset], starts, sch.T)
-    hits = sum(final.ids() == list(ex.caption) for ex, (final, _) in zip(subset, results))
-    return hits / len(subset)
+    report = evaluate(model, corpus, f"random:{sch.target_len}", sch.T, rng, split="val",
+                      limit=HOLDOUT_CAP)
+    return report["aggregates"]["em"]
 
 
 def train(corpus, sch: NoiseSchedule, cfg: ModelConfig, hyper: TrainConfig,
@@ -381,7 +381,6 @@ def train(corpus, sch: NoiseSchedule, cfg: ModelConfig, hyper: TrainConfig,
     """Train on a corpus; deterministic single-threaded under a fixed seed."""
     if not corpus.train:
         raise ModelError("empty training corpus")
-    vocab = corpus.vocab
     model = DenoiserModel(cfg)
     adam = Adam(model.param_list())
     rng = np.random.default_rng(hyper.seed)
@@ -397,7 +396,7 @@ def train(corpus, sch: NoiseSchedule, cfg: ModelConfig, hyper: TrainConfig,
         for first in range(0, n, hyper.batch):
             ids = order[first:first + hyper.batch]
             batch = [corpus.train[idx] for idx in ids]
-            states = [sample_denoising_example(ex.caption, sch, vocab, rng,
+            states = [sample_denoising_example(ex.caption, sch, corpus.vocab, rng,
                                                hyper.p_terminal, hyper.p_truncate)
                       for ex in batch]
             op_logits, word_logits = model.forward_packed(
@@ -415,7 +414,7 @@ def train(corpus, sch: NoiseSchedule, cfg: ModelConfig, hyper: TrainConfig,
             lang_sum += l_lang
             adam.step(lr=lr_at(opt_step, total_steps, hyper))
             opt_step += 1
-        em = holdout_exact_match(model, corpus.val, sch, vocab, rng)
+        em = holdout_exact_match(model, corpus, sch, rng)
         row = {
             "epoch": epoch,
             "loss_edit": edit_sum / n,

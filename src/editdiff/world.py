@@ -244,9 +244,9 @@ def load_spec(path: str | Path) -> WorldSpec:
 
 
 def load_corpus(in_dir: str | Path) -> Corpus:
-    """Read a corpus written by ``save_corpus``; a file that lacks a field,
-    holds the wrong kind of JSON value, a vocabulary that is not the one the
-    spec builds, or an id outside its vocabulary raises ``WorldError``."""
+    """Read a corpus written by ``save_corpus``; a file that lacks a field or
+    holds the wrong kind of JSON value or an empty caption, a vocabulary that
+    is not the one the spec builds, or an id outside it raises ``WorldError``."""
     in_dir = Path(in_dir)
     meta = parse_json(read_utf8(in_dir / "meta.json"), in_dir / "meta.json")
     try:
@@ -280,6 +280,8 @@ def load_corpus(in_dir: str | Path) -> Corpus:
                 raise WorldError(f"{split}.jsonl line {line}: need an object with scene_id, "
                                  f"facts, condition and caption: {type(e).__name__} {e}"
                                  ) from None
+            if not example.caption:
+                raise WorldError(f"{split}.jsonl line {line}: empty caption")
             corpus.split(split).append(example)
     _check_ids("caption", caption_ids, NUM_SPECIALS, vocab.size)
     _check_ids("condition", condition_ids, 0, spec.cond_vocab_size)

@@ -1,11 +1,11 @@
 """Tape nodes and scripts that only the tests use.
 
 ``mul``, ``sum_all``, ``plain_layer_norm``, ``matmul``, ``transpose``,
-``reshape``, ``softmax`` and ``scatter_rows`` are primitive nodes that the
-model no longer needs.  ``unfused_linear``, ``unfused_layer_norm`` and
-``unfused_attention`` compose them into the reference against which the
-fused ``autodiff.linear``, ``autodiff.layer_norm`` and
-``autodiff.attention`` must agree bit for bit.
+``reshape``, ``softmax``, ``scatter_rows`` and ``take_rows`` are primitive
+nodes that the model no longer needs.  ``unfused_linear``,
+``unfused_layer_norm`` and ``unfused_attention`` compose them into the
+reference against which the fused ``autodiff.linear``,
+``autodiff.layer_norm`` and ``autodiff.attention`` must agree bit for bit.
 
 ``reference_weighted_ldist`` and ``reference_align`` are the O(mn) dynamic
 programs that ``align.weighted_ldist`` and ``align.align`` replaced; the
@@ -125,6 +125,20 @@ def scatter_rows(a, ids, n: int) -> Tensor:
     return Tensor(out, parents=(a,), backward=bwd)
 
 
+def take_rows(a, ids) -> Tensor:
+    """Rows ``ids`` of ``a``, which must be distinct: a gather whose backward
+    writes each row's gradient back once instead of adding it."""
+    a = as_tensor(a)
+    ids = np.asarray(ids, dtype=np.int64)
+
+    def bwd(g, a=a, ids=ids):
+        buf = np.zeros_like(a.data)
+        buf[ids] = g
+        a._accum(buf)
+
+    return Tensor(a.data[ids], parents=(a,), backward=bwd)
+
+
 def unfused_linear(x, w, b) -> Tensor:
     return ad.add(matmul(x, w), b)
 
@@ -134,7 +148,7 @@ def unfused_layer_norm(x, gain, bias) -> Tensor:
 
 
 def unfused_attention(q, k, v, back, key_bias, heads, scatter=scatter_rows,
-                      take=ad.take_rows) -> Tensor:
+                      take=take_rows) -> Tensor:
     """``autodiff.attention`` as a chain of primitive nodes.  ``scatter`` and
     ``take`` place the packed rows into the padded sequences and take them
     back."""

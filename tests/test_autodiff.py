@@ -3,8 +3,8 @@ import pytest
 
 from editdiff import autodiff as ad
 from editdiff.autodiff import Adam, ShapeError, Tensor, backward, grad_check, zero_grads
-from helpers import (matmul, mul, reshape, scatter_rows, softmax, sum_all, transpose,
-                     unfused_attention, unfused_layer_norm, unfused_linear)
+from helpers import (matmul, mul, reshape, scatter_rows, softmax, sum_all, take_rows,
+                     transpose, unfused_attention, unfused_layer_norm, unfused_linear)
 
 
 def leaf(data):
@@ -80,8 +80,9 @@ def test_silu_values():
 def test_concat_and_slice_round_trip():
     a = leaf(np.ones((2, 3)))
     b = leaf(np.full((1, 3), 2.0))
-    y = ad.concat([a, b], axis=0)
-    backward(sum_all(ad.take_rows(y, [2])))
+    y = ad.concat([a, b])
+    assert np.array_equal(y.data, [[1.0] * 3, [1.0] * 3, [2.0] * 3])
+    backward(sum_all(ad.gather(y, [2])))
     assert np.array_equal(a.grad, np.zeros((2, 3)))
     assert np.array_equal(b.grad, np.ones((1, 3)))
 
@@ -248,7 +249,7 @@ def test_float32_data_stays_float32_only_where_no_tape_is_built():
     out = ad.attention(q32, k32, v32, back, key_bias, 2)
     h = ad.layer_norm(ad.silu(ad.add(out, ad.scale(q32, 0.5))),
                       Tensor(narrow[0]), Tensor(narrow[1]))
-    rows = ad.concat([ad.gather(h, [0, 2]), ad.take_rows(h, [1, 3])])
+    rows = ad.concat([ad.gather(h, [0, 2]), ad.gather(h, [1, 3])])
     y = ad.linear(rows, Tensor(narrow.T[:, :4]), Tensor(narrow[2, :4]))
     assert out.data.dtype == y.data.dtype == np.float32
     assert not y.requires_grad and y._parents == ()
@@ -266,13 +267,13 @@ def test_scatter_rows_and_take_rows_undo_each_other():
     padded = scatter_rows(x, ids, 6)
     assert np.array_equal(padded.data[ids], x.data)
     assert np.array_equal(padded.data[[1, 4]], np.zeros((2, 3)))
-    assert np.array_equal(ad.take_rows(padded, ids).data, x.data)
+    assert np.array_equal(take_rows(padded, ids).data, x.data)
     mix = Tensor(rng.normal(size=(6, 6)))
     weights = Tensor(rng.normal(size=(6, 3)))
 
     def f():
         mixed = matmul(mix, scatter_rows(x, ids, 6))
-        return sum_all(mul(ad.take_rows(mul(mixed, weights), ids[::-1]), x))
+        return sum_all(mul(take_rows(mul(mixed, weights), ids[::-1]), x))
 
     assert grad_check(f, [x], eps=1e-5) < 1e-6
 

@@ -72,6 +72,7 @@ def test_synth_writes_corpus_and_config(tmp_path, capsys):
     assert main(["synth", "--n", "40", "--seed", "1", "--out", str(out)]) == EXIT_OK
     text = capsys.readouterr().out
     assert "n=40" in text and "seed=1" in text
+    assert text.count("# synth effective config") == 1
     corpus = load_corpus(out)
     assert len(corpus.train) + len(corpus.val) + len(corpus.test) == 40
     cfg = (out / "run.config").read_text(encoding="utf-8")
@@ -233,12 +234,12 @@ def _train_not_utf8(d):
         f.write(b"\xff")
 
 
-def _set_first_id(d, key, value):
-    """Set the first id of a field of the first training row, and record the
-    files' new hash so that only the id check can catch it."""
+def _set_first_field(d, key, change):
+    """Change a field of the first training row, and record the files' new
+    hash so that only the check of that field can catch it."""
     rows = (d / "train.jsonl").read_text(encoding="utf-8").splitlines()
     first = json.loads(rows[0])
-    first[key][0] = value
+    first[key] = change(first[key])
     (d / "train.jsonl").write_text(
         "\n".join([json.dumps(first, separators=(",", ":"))] + rows[1:]) + "\n",
         encoding="utf-8")
@@ -246,6 +247,10 @@ def _set_first_id(d, key, value):
     meta["hash"] = hashlib.sha256(
         b"".join((d / f"{split}.jsonl").read_bytes() for split in SPLITS)).hexdigest()
     (d / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+
+
+def _set_first_id(d, key, value):
+    _set_first_field(d, key, lambda ids: [value] + ids[1:])
 
 
 def _caption_id_999(d):
@@ -260,9 +265,13 @@ def _caption_id_0(d):
     _set_first_id(d, "caption", 0)
 
 
+def _empty_caption(d):
+    _set_first_field(d, "caption", lambda ids: [])
+
+
 @pytest.mark.parametrize("damage", [_meta_as_list, _meta_without_entities, _row_without_caption,
                                     _vocab_cut_to_5_lines, _train_not_utf8, _caption_id_999,
-                                    _condition_id_999, _caption_id_0])
+                                    _condition_id_999, _caption_id_0, _empty_caption])
 def test_malformed_corpus_is_format_error(tmp_path, capsys, damage):
     corpus_dir = tmp_path / "corpus"
     save_corpus(make_corpus(WorldSpec(), 10, seed=0), corpus_dir)
@@ -270,7 +279,10 @@ def test_malformed_corpus_is_format_error(tmp_path, capsys, damage):
     out = tmp_path / "m.ckpt"
     code = main(["train", "--corpus", str(corpus_dir), "--out", str(out)])
     assert code == EXIT_FORMAT
-    assert "format error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "format error" in err
+    if damage is _empty_caption:
+        assert "format error: train.jsonl line 1: empty caption" in err
     assert not out.exists()
     assert not Path(str(out) + ".config").exists()
 
@@ -495,8 +507,22 @@ def test_eval_limit_zero_is_usage_error_naming_the_limit(trained, tmp_path, caps
     code = main(["eval", "--ckpt", str(ckpt), "--corpus", str(corpus_dir),
                  "--mode", "random:10", "--limit", "0", "--out", str(tmp_path / "r.json")])
     assert code == EXIT_USAGE
-    assert "usage error: limit must be >= 1, got 0" in capsys.readouterr().err
-    assert not (tmp_path / "r.json").exists()
+    captured = capsys.readouterr()
+    assert "usage error: limit must be >= 1, got 0" in captured.err
+    assert "effective config" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ablate_limit_zero_is_usage_error_before_training(trained, tmp_path, capsys):
+    corpus_dir, _ = trained
+    code = main(["ablate", "--which", "edit-dist", "--epochs", "1", "--limit", "0",
+                 "--ckpt-dir", str(tmp_path / "ckpts"), "--corpus", str(corpus_dir),
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "usage error: limit must be >= 1, got 0" in captured.err
+    assert "effective config" not in captured.out
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("case", ["eval-out", "synth-out", "eval-ckpt"])

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import inspect
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from editdiff import autodiff as ad
 from editdiff import diffusion
+from editdiff.align import align
 from editdiff.autodiff import backward, grad_check
 from editdiff.diffusion import ROLLOUTS_PER_FORWARD, denoise_loop, make_random_sequence
 from editdiff.edit_ops import CaptionState, EditOp, EditScript, NoiseSchedule
@@ -16,6 +18,7 @@ from editdiff.model import (
     ModelConfig,
     ModelError,
     TrainConfig,
+    holdout_exact_match,
     load_checkpoint,
     lr_at,
     model_loss,
@@ -25,7 +28,7 @@ from editdiff.model import (
 )
 from editdiff.vocab import NUM_SPECIALS
 from editdiff.world import WorldSpec, make_corpus
-from helpers import unfused_attention, unfused_layer_norm, unfused_linear
+from helpers import all_keep_script, unfused_attention, unfused_layer_norm, unfused_linear
 
 K, R, I, D = EditOp.KEEP, EditOp.REPLACE, EditOp.INSERT, EditOp.DELETE
 
@@ -185,6 +188,61 @@ def test_train_single_epoch_logs_and_determinism():
         assert np.array_equal(m1.params[name].data, m2.params[name].data)
 
 
+class _HalfOracle:
+    """A rollout model that aligns the caption of every scene with an even
+    id to the scene's own caption, so that it is right after one step, and
+    keeps every other caption as it is."""
+
+    def __init__(self, examples):
+        self.targets = {tuple(ex.condition): list(ex.caption)
+                        for ex in examples if ex.scene_id % 2 == 0}
+
+    def for_rollouts(self):
+        return self
+
+    def predict_script(self, conditions, captions, t):
+        return [align(c, self.targets[tuple(cond)]) if tuple(cond) in self.targets
+                else all_keep_script(len(c)) for cond, c in zip(conditions, captions)]
+
+
+def _reference_holdout(net, corpus, sch, rng, cap):
+    subset = corpus.val[:cap]
+    starts = [make_random_sequence(sch.target_len, corpus.vocab, rng, step=sch.T)
+              for _ in subset]
+    results = denoise_loop(net, [ex.condition for ex in subset], starts, sch.T)
+    hits = sum(final.ids() == list(ex.caption) for ex, (final, _) in zip(subset, results))
+    return hits / len(subset)
+
+
+@pytest.mark.parametrize("cap", [2, 50])
+@pytest.mark.parametrize("kind", ["tiny", "oracle"])
+def test_holdout_is_the_rollout_exact_match_on_the_first_val_scenes(monkeypatch, kind, cap):
+    corpus = make_corpus(WorldSpec(), 60, seed=6)
+    assert len(corpus.val) == 6
+    monkeypatch.setattr("editdiff.model.HOLDOUT_CAP", cap)
+    sch = NoiseSchedule()
+    net = (_HalfOracle(corpus.val) if kind == "oracle" else DenoiserModel(ModelConfig(
+        vocab_size=corpus.vocab.size, cond_vocab_size=corpus.spec.cond_vocab_size,
+        embed_dim=8, num_layers=1, num_heads=1, ffn_dim=16, seed=4)))
+    rng = np.random.default_rng(11)
+    ref_rng = copy.deepcopy(rng)
+    em = holdout_exact_match(net, corpus, sch, rng)
+    assert em == _reference_holdout(net, corpus, sch, ref_rng, cap)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # the starts' draws only
+    if kind == "oracle":
+        assert em == 0.5
+    corpus.val.clear()
+    assert holdout_exact_match(net, corpus, sch, rng) == 0.0
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_the_sampler_mixture_is_declared_once():
+    sampler = inspect.signature(diffusion.sample_denoising_example).parameters
+    mixture = (diffusion.P_TERMINAL, diffusion.P_TRUNCATE)
+    assert (sampler["p_terminal"].default, sampler["p_truncate"].default) == mixture
+    assert (TrainConfig().p_terminal, TrainConfig().p_truncate) == mixture
+
+
 def test_train_rejects_empty_corpus():
     corpus = make_corpus(WorldSpec(), 12, seed=2)
     corpus.train.clear()
@@ -287,8 +345,8 @@ def test_packed_forward_gradient_check():
         for gt in gts:
             rows = np.arange(start, start + len(gt))
             start += len(gt)
-            loss, _, _ = model_loss(ad.take_rows(op_logits, rows),
-                                    ad.take_rows(word_logits, rows), gt)
+            loss, _, _ = model_loss(ad.gather(op_logits, rows), ad.gather(word_logits, rows),
+                                    gt)
             total = loss if total is None else ad.add(total, loss)
         return total
 
