@@ -21,7 +21,8 @@ from .align import lev_ratio
 from .diffusion import (denoise_loop, make_random_sequence, noising_chain, place_pins,
                         trace_to_jsonl_rows)
 from .edit_ops import CaptionState, EditOp, NoiseSchedule, Origin
-from .metrics import MetricError, check_limit, contains_in_order, evaluate, write_report
+from .metrics import (MetricError, check_limit, contains_in_order, evaluate, parse_mode,
+                      write_report)
 from .model import (CheckpointError, ModelConfig, ModelError, TrainConfig,
                     load_checkpoint, save_checkpoint, train)
 from .world import (SPLITS, Corpus, WorldError, WorldSpec, load_corpus, load_spec,
@@ -43,17 +44,18 @@ _RESET = "\033[0m"
 
 
 def read_config_file(path: str | None) -> dict[str, str]:
-    """Plain-text key=value config; blank lines and # comments ignored."""
+    """Plain-text key=value config; blank lines and # comments ignored.  A
+    line that is not key=value makes the file malformed."""
     if path is None:
         return {}
     out: dict[str, str] = {}
-    for raw in read_utf8(path).splitlines():
+    for n, raw in enumerate(read_utf8(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise MetricError(f"bad config line: {raw!r}")
-        key, value = line.split("=", 1)
+        key, sep, value = line.partition("=")
+        if not sep or not key.strip():
+            raise WorldError(f"{path}: line {n} is not key=value: {raw!r}")
         out[key.strip()] = value.strip()
     return out
 
@@ -63,20 +65,27 @@ def read_config_file(path: str | None) -> dict[str, str]:
 _LOGGED_FLAGS = {"corpus", "out"}
 
 
-def resolve(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
-    """Precedence: explicit flags > config file > defaults.  A config key
-    that is neither in the defaults table nor a logged flag of the command is
-    a usage error."""
+def resolve(args: argparse.Namespace, defaults: dict) -> dict:
+    """Precedence: explicit flags > the ``--config`` file, if the command
+    has one > defaults.  A config key that is neither in the defaults table
+    nor a logged flag of the command, or a value that does not parse as its
+    default's type, is a usage error naming the file."""
+    path = getattr(args, "config", None)
+    file_cfg = read_config_file(path)
     unknown = sorted(file_cfg.keys() - defaults.keys() - (_LOGGED_FLAGS & vars(args).keys()))
     if unknown:
-        raise MetricError(f"unknown config keys: {', '.join(unknown)}")
+        raise MetricError(f"{path}: unknown config keys: {', '.join(unknown)}")
     effective = {}
     for key, default in defaults.items():
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             effective[key] = flag_val
         elif key in file_cfg:
-            effective[key] = type(default)(file_cfg[key])
+            try:
+                effective[key] = type(default)(file_cfg[key])
+            except ValueError:
+                raise MetricError(f"{path}: {key}={file_cfg[key]!r} is not "
+                                  f"of type {type(default).__name__}") from None
         else:
             effective[key] = default
     return effective
@@ -110,7 +119,9 @@ SYNTH_DEFAULTS = {"n": 2000, "seed": 0}
 NOISE_DEMO_DEFAULTS = {**field_defaults(NoiseSchedule), "seed": 0}
 TRAIN_DEFAULTS = {**field_defaults(TrainConfig), **field_defaults(ModelConfig),
                   **field_defaults(NoiseSchedule)}
-ROLLOUT_DEFAULTS = {"steps": NoiseSchedule.T, "seed": 0}
+# a rollout's --steps defaults to the max_T of the model it runs, so it is
+# not a table entry
+ROLLOUT_DEFAULTS = {"seed": 0}
 GENERATE_DEFAULTS = {**ROLLOUT_DEFAULTS, "len": NoiseSchedule.target_len}
 ABLATE_DEFAULTS = {**ROLLOUT_DEFAULTS, "epochs": 10, "limit": 200}
 
@@ -122,15 +133,19 @@ def add_flags(p: argparse.ArgumentParser, defaults: dict) -> None:
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default))
 
 
-def check_steps(steps: int, max_T: int) -> None:
-    """A rollout of ``steps`` steps reads time steps ``steps`` down to 1, so
-    it needs ``1 <= steps <= max_T``; checked before any file is written."""
+def rollout_steps(steps: int | None, max_T: int) -> int:
+    """A rollout's step count: ``--steps``, or ``max_T`` when it is unset.
+    A rollout of ``steps`` steps reads time steps ``steps`` down to 1, so it
+    needs ``1 <= steps <= max_T``; checked before any file is written."""
+    steps = max_T if steps is None else steps
     if not 1 <= steps <= max_T:
         raise ModelError(f"--steps {steps} outside 1..{max_T}, the time steps the model embeds")
+    return steps
 
 
-def load_model_checked(ckpt: str, corpus: Corpus, steps: int):
-    """The checkpoint's model, checked against the corpus and ``steps``."""
+def load_model_checked(ckpt: str, corpus: Corpus, steps: int | None):
+    """The checkpoint's model, checked against the corpus, and its rollout
+    step count (see ``rollout_steps``)."""
     model, _ = load_checkpoint(ckpt)
     if model.cfg.vocab_size != corpus.vocab.size:
         raise CheckpointError(
@@ -138,8 +153,7 @@ def load_model_checked(ckpt: str, corpus: Corpus, steps: int):
             f"corpus vocab size {corpus.vocab.size}")
     if model.cfg.cond_vocab_size != corpus.spec.cond_vocab_size:
         raise CheckpointError("checkpoint condition vocabulary does not match corpus")
-    check_steps(steps, model.cfg.max_T)
-    return model
+    return model, rollout_steps(steps, model.cfg.max_T)
 
 
 def find_example(corpus: Corpus, scene_id: int):
@@ -164,7 +178,7 @@ def parse_pins(text: str, vocab) -> dict[int, int]:
 
 
 def cmd_synth(args) -> int:
-    cfg = resolve(args, read_config_file(args.config), SYNTH_DEFAULTS)
+    cfg = resolve(args, SYNTH_DEFAULTS)
     out = Path(args.out)
     spec = load_spec(args.spec) if args.spec else WorldSpec()
     try:
@@ -178,7 +192,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_noise_demo(args) -> int:
-    cfg = resolve(args, {}, NOISE_DEMO_DEFAULTS)
+    cfg = resolve(args, NOISE_DEMO_DEFAULTS)
     sch = from_fields(NoiseSchedule, cfg)
     announce_config("noise-demo", {**cfg, "caption": args.caption})
     if args.corpus:
@@ -227,7 +241,7 @@ def train_once(corpus: Corpus, cfg: dict, quiet: bool = False):
 
 
 def cmd_train(args) -> int:
-    cfg = resolve(args, read_config_file(args.config), TRAIN_DEFAULTS)
+    cfg = resolve(args, TRAIN_DEFAULTS)
     corpus = load_corpus(args.corpus)
     sch, _, hyper = train_configs(corpus, cfg)  # raises before any file is written
     out = Path(args.out)
@@ -247,15 +261,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_edit(args) -> int:
-    cfg = resolve(args, {}, ROLLOUT_DEFAULTS)
     corpus = load_corpus(args.corpus)
-    model = load_model_checked(args.ckpt, corpus, cfg["steps"])
+    model, steps = load_model_checked(args.ckpt, corpus, args.steps)
     ex = find_example(corpus, args.scene)
-    announce_config("edit", {**cfg, "ckpt": args.ckpt, "scene": args.scene,
+    announce_config("edit", {"steps": steps, "ckpt": args.ckpt, "scene": args.scene,
                              "ref": args.ref})
     ids = corpus.vocab.encode_all(args.ref.split())
-    state = CaptionState.from_ids(ids, step=cfg["steps"])
-    [(final, trace)] = denoise_loop(model, [ex.condition], [state], cfg["steps"])
+    state = CaptionState.from_ids(ids, step=steps)
+    [(final, trace)] = denoise_loop(model, [ex.condition], [state], steps)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as f:
             for row in trace_to_jsonl_rows(trace, corpus.vocab):
@@ -267,9 +280,9 @@ def cmd_edit(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = resolve(args, {}, GENERATE_DEFAULTS)
+    cfg = resolve(args, GENERATE_DEFAULTS)
     corpus = load_corpus(args.corpus)
-    model = load_model_checked(args.ckpt, corpus, cfg["steps"])
+    model, cfg["steps"] = load_model_checked(args.ckpt, corpus, args.steps)
     ex = find_example(corpus, args.scene)
     announce_config("generate", {**cfg, "ckpt": args.ckpt, "scene": args.scene})
     rng = np.random.default_rng(cfg["seed"])
@@ -282,20 +295,19 @@ def cmd_generate(args) -> int:
 
 
 def cmd_control(args) -> int:
-    cfg = resolve(args, {}, GENERATE_DEFAULTS)
+    cfg = resolve(args, GENERATE_DEFAULTS)
     corpus = load_corpus(args.corpus)
-    model = load_model_checked(args.ckpt, corpus, cfg["steps"])
+    model, cfg["steps"] = load_model_checked(args.ckpt, corpus, args.steps)
     ex = find_example(corpus, args.scene)
     announce_config("control", {**cfg, "ckpt": args.ckpt, "scene": args.scene,
                                 "pins": args.pins, "mode": args.mode})
     pins = parse_pins(args.pins, corpus.vocab)
     rng = np.random.default_rng(cfg["seed"])
-    state = place_pins(make_random_sequence(cfg["len"], corpus.vocab, rng, step=cfg["steps"]),
-                       pins)
-    print("input :", " ".join(corpus.vocab.decode_all(state.ids())))
     # soft mode places the pins in the start only; hard mode keeps them
-    [(final, _)] = denoise_loop(model, [ex.condition], [state], cfg["steps"],
-                                pins=[pins if args.mode == "hard" else None])
+    state = place_pins(make_random_sequence(cfg["len"], corpus.vocab, rng, step=cfg["steps"]),
+                       pins, hold=args.mode == "hard")
+    print("input :", " ".join(corpus.vocab.decode_all(state.ids())))
+    [(final, _)] = denoise_loop(model, [ex.condition], [state], cfg["steps"])
     print("output:", " ".join(corpus.vocab.decode_all(final.ids())))
     ordered = [w for _, w in sorted(pins.items())]
     kept = contains_in_order(final.ids(), ordered)
@@ -304,10 +316,11 @@ def cmd_control(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = resolve(args, {}, ROLLOUT_DEFAULTS)
+    cfg = resolve(args, ROLLOUT_DEFAULTS)
+    parse_mode(args.mode)
     check_limit(args.limit)
     corpus = load_corpus(args.corpus)
-    model = load_model_checked(args.ckpt, corpus, cfg["steps"])
+    model, cfg["steps"] = load_model_checked(args.ckpt, corpus, args.steps)
     out = Path(args.out)
     announce_config("eval", {**cfg, "ckpt": args.ckpt, "mode": args.mode,
                              "split": args.split, "limit": args.limit,
@@ -330,13 +343,14 @@ ABLATION_DISTRIBUTIONS = {
 def cmd_ablate(args) -> int:
     import csv
 
-    cfg = resolve(args, {}, ABLATE_DEFAULTS)
+    cfg = resolve(args, ABLATE_DEFAULTS)
     check_limit(cfg["limit"])
     corpus = load_corpus(args.corpus)
     if args.which == "rw-count":
-        model = load_model_checked(Path(args.ckpt_dir) / "model.ckpt", corpus, cfg["steps"])
+        model, cfg["steps"] = load_model_checked(Path(args.ckpt_dir) / "model.ckpt", corpus,
+                                                 args.steps)
     else:  # the models it trains embed the default schedule's time steps
-        check_steps(cfg["steps"], TRAIN_DEFAULTS["T"])
+        cfg["steps"] = rollout_steps(args.steps, TRAIN_DEFAULTS["T"])
     out = Path(args.out)
     announce_config("ablate", {**cfg, "which": args.which, "ckpt_dir": args.ckpt_dir,
                                "out": str(out)},
@@ -411,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--scene", type=int, required=True)
-    add_flags(p, ROLLOUT_DEFAULTS)
+    p.add_argument("--steps", type=int)
     p.add_argument("--trace")
     p.set_defaults(func=cmd_edit)
 
@@ -420,6 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--scene", type=int, required=True)
     add_flags(p, GENERATE_DEFAULTS)
+    p.add_argument("--steps", type=int)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("control", help="generate with pinned control words")
@@ -429,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pins", required=True)
     p.add_argument("--mode", choices=["hard", "soft"], default="hard")
     add_flags(p, GENERATE_DEFAULTS)
+    p.add_argument("--steps", type=int)
     p.set_defaults(func=cmd_control)
 
     p = sub.add_parser("eval", help="run an evaluation mode and emit a report")
@@ -438,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--limit", type=int)
     add_flags(p, ROLLOUT_DEFAULTS)
+    p.add_argument("--steps", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -446,6 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt-dir", required=True)
     p.add_argument("--corpus", required=True)
     add_flags(p, ABLATE_DEFAULTS)
+    p.add_argument("--steps", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edit_ops import (CaptionState, EditError, EditOp, EditScript, NoiseSchedule,
-                       Origin, Token, apply_script, sample_noising_step, survivor_map)
+                       Origin, Token, apply_script, sample_noising_step)
 from .vocab import Vocabulary, sample_random_word
 
 
@@ -87,16 +87,20 @@ def make_random_sequence(n: int, vocab: Vocabulary, rng: np.random.Generator,
     return CaptionState(tokens, step=step)
 
 
-def place_pins(c: CaptionState, pins: dict[int, int]) -> CaptionState:
+def place_pins(c: CaptionState, pins: dict[int, int], hold: bool) -> CaptionState:
     """Overwrite a starting state's words at the pinned positions.
 
-    Pinned words are flagged random-word like the rest of a generation start.
+    With ``hold``, the placed words are flagged PINNED, and ``denoise_loop``
+    keeps them through every step (hard pins).  Without it they are flagged
+    random-word like the rest of a generation start, and the model may edit
+    them like any other word (soft pins).
     """
+    origin = Origin.PINNED if hold else Origin.RANDOM_WORD
     tokens = list(c.tokens)
     for pos, word in pins.items():
         if not 0 <= pos < len(tokens):
             raise EditError(f"pin position {pos} out of range for length {len(tokens)}")
-        tokens[pos] = Token(word, Origin.RANDOM_WORD)
+        tokens[pos] = Token(word, origin)
     return CaptionState(tuple(tokens), c.step)
 
 
@@ -113,7 +117,7 @@ class TraceStep:
 ROLLOUTS_PER_FORWARD = 8
 
 
-def denoise_loop(model, conditions, starts, steps: int, pins=None
+def denoise_loop(model, conditions, starts, steps: int
                  ) -> list[tuple[CaptionState, list[TraceStep]]]:
     """Roll out every start together, applying predicted scripts for
     t = steps .. 1; returns (final state, trace) per start, in order.
@@ -125,10 +129,10 @@ def denoise_loop(model, conditions, starts, steps: int, pins=None
     miss a later parameter update.  Each step hands the live rollouts to
     that model's ``predict_script`` in batches of ``ROLLOUTS_PER_FORWARD``.
 
-    ``pins[i]``, when given and non-empty, pins words hard: ops at pinned
-    positions are overridden to KEEP before each application, and pin
-    positions are remapped through the edit so the pinned words survive
-    every step.
+    Words tagged ``Origin.PINNED`` (see ``place_pins``) are held: the slot
+    of each is overridden to KEEP before a step is applied, which also
+    turns an INSERT after it into a KEEP.  ``apply_script`` carries a kept
+    token to its new position, so a pinned word survives every step.
 
     A model returns None for a caption that has grown past the longest
     input it reads.  That rollout then stops and keeps its last state, with
@@ -138,14 +142,11 @@ def denoise_loop(model, conditions, starts, steps: int, pins=None
         raise EditError("denoising needs at least one step")
     states = list(starts)
     conditions = [list(c) for c in conditions]
-    pins = [dict(p) if p else {} for p in (pins or [None] * len(states))]
-    if not len(conditions) == len(states) == len(pins):
-        raise EditError(f"{len(conditions)} conditions, {len(states)} starts and "
-                        f"{len(pins)} pin maps; need one of each per rollout")
-    for c, row_pins in zip(states, pins):
-        for pos in row_pins:
-            if not 0 <= pos < len(c):
-                raise EditError(f"pinned position {pos} out of range for length {len(c)}")
+    if len(conditions) != len(states):
+        raise EditError(f"{len(conditions)} conditions and {len(states)} starts; "
+                        f"need one condition per start")
+    # KEEP drops no token, so a rollout holds pins for good or never
+    pinned = [any(tok.origin is Origin.PINNED for tok in c.tokens) for c in states]
     model = model.for_rollouts()
     traces: list[list[TraceStep]] = [[] for _ in states]
     live = list(range(len(states)))
@@ -158,14 +159,10 @@ def denoise_loop(model, conditions, starts, steps: int, pins=None
             for i, script in zip(batch, scripts):
                 if script is None:
                     continue
-                if pins[i]:
-                    slots = list(script.slots)
-                    for pos in pins[i]:
-                        slots[pos + 1] = (EditOp.KEEP, None)
-                    script = EditScript(tuple(slots))
-                    mapping = survivor_map(script)
-                    pins[i] = {mapping[pos]: word for pos, word in pins[i].items()
-                               if pos in mapping}
+                if pinned[i]:
+                    script = EditScript(script.slots[:1] + tuple(
+                        (EditOp.KEEP, None) if tok.origin is Origin.PINNED else slot
+                        for tok, slot in zip(states[i].tokens, script.slots[1:])))
                 after = apply_script(states[i], script, decrement_step=True)
                 traces[i].append(TraceStep(t, script, states[i], after))
                 states[i] = after

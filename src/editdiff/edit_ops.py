@@ -27,8 +27,9 @@ class EditOp(enum.IntEnum):
 
 
 class Origin(enum.Enum):
-    ORIGINAL = "original"
-    RANDOM_WORD = "random_word"
+    ORIGINAL = "original"  # a clean word or one a script wrote; the only kind noised
+    RANDOM_WORD = "random_word"  # drawn by the noising chain or for a generation start
+    PINNED = "pinned"  # placed by the user; a rollout keeps it
 
 
 class EditError(ValueError):
@@ -99,7 +100,9 @@ def apply_script(c: CaptionState, s: EditScript, decrement_step: bool) -> Captio
 
     ``decrement_step`` marks the denoising direction (step goes down);
     noising bookkeeping increments the step instead.  The words a script
-    writes are tagged original; the noising sampler builds its own states.
+    writes are tagged original; a kept word and the host of an INSERT keep
+    their token, origin and all, so a pinned word moves with the edits
+    around it.  The noising sampler builds its own states.
     """
     if len(s) != len(c) + 1:
         raise EditError(f"script length {len(s)} does not fit caption length {len(c)}")
@@ -120,27 +123,6 @@ def apply_script(c: CaptionState, s: EditScript, decrement_step: bool) -> Captio
             out.append(Token(content))
     step = max(0, c.step - 1) if decrement_step else c.step + 1
     return CaptionState(tuple(out), step)
-
-
-def survivor_map(s: EditScript) -> dict[int, int]:
-    """Map input caption positions that survive the script to output positions.
-
-    A token survives under KEEP and INSERT (the host word is copied); it is
-    gone under DELETE and REPLACE.  Needed to track pinned positions across
-    denoising steps.
-    """
-    mapping: dict[int, int] = {}
-    emitted = 1 if s.slots[0][0] is EditOp.INSERT else 0
-    for pos, (op, _) in enumerate(s.slots[1:]):
-        if op is EditOp.KEEP:
-            mapping[pos] = emitted
-            emitted += 1
-        elif op is EditOp.REPLACE:
-            emitted += 1
-        elif op is EditOp.INSERT:
-            mapping[pos] = emitted
-            emitted += 2
-    return mapping
 
 
 # bounds of the factor that steers the insert/delete split toward target_len
@@ -210,7 +192,7 @@ def sample_noising_step(c: CaptionState, sch: NoiseSchedule, t: int,
                         ) -> tuple[EditScript, CaptionState]:
     """Draw one noising step: a sampled script and the resulting caption.
 
-    Already-noised words are absorbing (always KEEP).  Any non-KEEP draw
+    Words that are not original are absorbing (always KEEP).  Any non-KEEP draw
     counts its host word as noised, including INSERT, whose host is copied
     but flagged random-word so it is never re-noised; this is what makes the
     survival law exactly 1 - t/T and the step-T state fully random-word.
@@ -221,7 +203,7 @@ def sample_noising_step(c: CaptionState, sch: NoiseSchedule, t: int,
     out: list[Token] = []
     slots: list[tuple[EditOp, int | None]] = [(EditOp.KEEP, None)]
     for tok in c.tokens:
-        if tok.origin is Origin.RANDOM_WORD:
+        if tok.origin is not Origin.ORIGINAL:
             slots.append((EditOp.KEEP, None))
             out.append(tok)
             continue

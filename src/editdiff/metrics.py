@@ -102,20 +102,22 @@ def retention_rate(outputs, pins) -> float:
 
 
 def parse_mode(mode: str) -> tuple[str, float | int | None]:
+    """The kind of an evaluation mode and its argument; a mode that does not
+    parse raises ``MetricError`` naming it."""
     if mode == "indomain":
         return "ood", 0.5
     if mode == "control":
         return "control", None
-    if ":" in mode:
-        kind, arg = mode.split(":", 1)
-        if kind == "ood":
-            ratio = float(arg)
-            if not 0.0 <= ratio <= 1.0:  # also rejects nan
-                raise MetricError(f"ood target ratio must be in [0, 1], got {arg}")
-            return "ood", ratio
-        if kind == "random":
+    kind, _, arg = mode.partition(":")
+    try:
+        if kind == "ood" and 0.0 <= float(arg) <= 1.0:  # also rejects nan
+            return "ood", float(arg)
+        if kind == "random" and int(arg) >= 1:
             return "random", int(arg)
-    raise MetricError(f"unknown evaluation mode: {mode}")
+    except ValueError:
+        pass
+    raise MetricError(f"unknown evaluation mode {mode!r}: want random:<n> with n >= 1, "
+                      f"ood:<ratio> with ratio in [0, 1], indomain or control")
 
 
 def _quality(hyp, ref) -> dict:
@@ -145,7 +147,11 @@ def check_limit(limit: int | None) -> None:
 def evaluate(model, corpus: Corpus, mode: str, steps: int, seed: int | np.random.Generator,
              split: str = "test", limit: int | None = None) -> dict:
     """Run the denoiser over a split in the given mode and aggregate metrics.
-    ``seed`` may be a ``Generator``, which then draws the starts itself."""
+    ``seed`` may be a ``Generator``, which then draws the starts itself.
+
+    Control mode places two caption words (``default_pins``) in each start
+    and rolls it out twice in one batch: with the words hard-pinned, and
+    soft, placed in the start only."""
     kind, arg = parse_mode(mode)
     vocab = corpus.vocab
     rng = np.random.default_rng(seed)
@@ -165,17 +171,15 @@ def evaluate(model, corpus: Corpus, mode: str, steps: int, seed: int | np.random
             state = make_random_sequence(arg, vocab, rng, step=steps)
         else:  # control
             state = make_random_sequence(NoiseSchedule.target_len, vocab, rng, step=steps)
-            pins = default_pins(list(ex.caption), len(state))
-            state = place_pins(state, pins)
-            pin_maps.append(pins)
+            pin_maps.append(default_pins(list(ex.caption), len(state)))
         starts.append(state)
 
     conditions = [ex.condition for ex in examples]
-    if kind == "control":  # a hard-pinned and a free rollout per scene
-        results = denoise_loop(model, conditions * 2, starts * 2, steps,
-                               pins=pin_maps + [None] * len(starts))
-    else:
-        results = denoise_loop(model, conditions, starts, steps)
+    if kind == "control":  # a hard-pinned and a free rollout per scene, one start
+        starts = ([place_pins(s, p, hold=True) for s, p in zip(starts, pin_maps)]
+                  + [place_pins(s, p, hold=False) for s, p in zip(starts, pin_maps)])
+        conditions = conditions * 2
+    results = denoise_loop(model, conditions, starts, steps)
     outputs = [final.ids() for final, _ in results]
 
     rows = []

@@ -284,15 +284,13 @@ class _Layout:
 
     def __init__(self, cond_lens: np.ndarray, word_lens: np.ndarray):
         seq_lens = cond_lens + word_lens
-        pos = np.arange(int(seq_lens.max()))[None, :]
-        cond_start = (np.cumsum(cond_lens) - cond_lens)[:, None]
-        word_start = (int(cond_lens.sum()) + np.cumsum(word_lens) - word_lens)[:, None]
-        in_cond = pos < cond_lens[:, None]
-        valid = pos < seq_lens[:, None]
-        seq = np.where(in_cond, cond_start + pos, word_start + pos - cond_lens[:, None])
-        self.key_bias = np.where(valid, 0.0, NEG_INF)[:, None, None, :]
-        self.back = np.empty(int(seq_lens.sum()), dtype=np.int64)
-        self.back[seq[valid]] = np.flatnonzero(valid)
+        length = int(seq_lens.max())
+        first = np.arange(len(seq_lens)) * length  # each sequence's first flat position
+        self.key_bias = np.where(np.arange(length) < seq_lens[:, None],
+                                 0.0, NEG_INF)[:, None, None, :]
+        self.back = np.concatenate([
+            np.repeat(first, cond_lens) + _ranges(cond_lens),
+            np.repeat(first + cond_lens, word_lens) + _ranges(word_lens)])
 
 
 def script_targets(gt: EditScript) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from editdiff.cli import (
 from editdiff.metrics import MetricError
 from editdiff.model import (CheckpointError, DenoiserModel, ModelConfig, load_checkpoint,
                             save_checkpoint)
-from editdiff.world import SPLITS, WorldSpec, load_corpus, make_corpus, save_corpus
+from editdiff.world import SPLITS, WorldError, WorldSpec, load_corpus, make_corpus, save_corpus
 
 TINY_TRAIN = ["--epochs", "2", "--batch", "4", "--embed-dim", "16",
               "--num-layers", "1", "--num-heads", "2", "--ffn-dim", "32"]
@@ -31,18 +31,24 @@ def test_read_config_file(tmp_path):
     cfg.write_text("# comment\n\nseed = 3\nn=17\n", encoding="utf-8")
     assert read_config_file(str(cfg)) == {"seed": "3", "n": "17"}
     assert read_config_file(None) == {}
-    cfg.write_text("no_equals_sign\n", encoding="utf-8")
-    with pytest.raises(MetricError):
-        read_config_file(str(cfg))
+    for line in ("no_equals_sign", "= 3"):
+        cfg.write_text(f"seed=3\n{line}\n", encoding="utf-8")
+        with pytest.raises(WorldError, match=f"{cfg}: line 2 "):
+            read_config_file(str(cfg))
 
 
-def test_resolve_precedence():
+def test_resolve_precedence(tmp_path):
     defaults = {"n": 100, "seed": 0, "lr": 1e-3}
-    args = argparse.Namespace(n=5, seed=None, lr=None)
-    eff = resolve(args, {"seed": "9", "n": "42"}, defaults)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=9\nn=42\n", encoding="utf-8")
+    args = argparse.Namespace(n=5, seed=None, lr=None, config=str(cfg))
+    eff = resolve(args, defaults)
     # flag beats file, file beats default, default fills the rest
     assert eff == {"n": 5, "seed": 9, "lr": 1e-3}
     assert isinstance(eff["seed"], int)
+    # a command without --config takes flags and defaults only
+    assert resolve(argparse.Namespace(n=None, seed=2, lr=None), defaults) == \
+        {"n": 100, "seed": 2, "lr": 1e-3}
 
 
 def test_parse_pins_round_trip():
@@ -131,6 +137,38 @@ def test_unknown_config_key_is_usage_error(trained, tmp_path, capsys, command):
         assert code == EXIT_USAGE
         assert f"unknown config keys: {key}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_config_line_that_is_not_key_value_is_format_error_naming_file_and_line(
+        trained, tmp_path, capsys, command):
+    corpus_dir, _ = trained
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# settings\nseed=1\ngarbage\n", encoding="utf-8")
+    flags = ["--corpus", str(corpus_dir)] if command == "train" else []
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")] + flags)
+    assert code == EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert f"format error: {cfg}: line 3 is not key=value: 'garbage'" in captured.err
+    assert "effective config" not in captured.out
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command, line", [("synth", "n=abc"), ("train", "lr=fast"),
+                                           ("train", "epochs=2.5")])
+def test_config_value_of_the_wrong_type_is_usage_error_naming_key_and_file(
+        trained, tmp_path, capsys, command, line):
+    corpus_dir, _ = trained
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    flags = ["--corpus", str(corpus_dir)] if command == "train" else []
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")] + flags)
+    assert code == EXIT_USAGE
+    key, value = line.split("=")
+    captured = capsys.readouterr()
+    assert f"usage error: {cfg}: {key}='{value}' is not of type" in captured.err
+    assert "effective config" not in captured.out
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_non_utf8_config_file_is_format_error(tmp_path, capsys):
@@ -449,6 +487,20 @@ def test_eval_bad_mode_is_usage_error(trained, tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("mode", ["bogus", "random:abc", "random:0", "random:-3", "ood:2",
+                                  "ood:nan"])
+def test_eval_bad_mode_is_usage_error_naming_it_before_any_file(trained, tmp_path, capsys,
+                                                                mode):
+    corpus_dir, ckpt = trained
+    code = main(["eval", "--ckpt", str(ckpt), "--corpus", str(corpus_dir),
+                 "--mode", mode, "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"usage error: unknown evaluation mode {mode!r}" in captured.err
+    assert "effective config" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_unknown_split_is_usage_error(trained, tmp_path):
     corpus_dir, ckpt = trained
     with pytest.raises(SystemExit) as exit_info:  # argparse rejects it with exit 2
@@ -500,6 +552,61 @@ def test_steps_outside_the_model_time_steps_is_usage_error_before_any_file(
     assert f"usage error: --steps {steps} outside 1..10" in captured.err
     assert "effective config" not in captured.out
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def trained_t5(trained, tmp_path_factory):
+    """A tiny checkpoint whose model embeds time steps 1..5 only."""
+    corpus_dir, _ = trained
+    ckpt = tmp_path_factory.mktemp("cli_t5") / "model.ckpt"
+    code = main(["train", "--corpus", str(corpus_dir), "--out", str(ckpt), "--T", "5"]
+                + TINY_TRAIN + ["--epochs", "1"])
+    assert code == EXIT_OK
+    return corpus_dir, ckpt
+
+
+@pytest.mark.parametrize("command", ["eval", "edit", "generate", "control", "rw-count"])
+def test_steps_default_to_the_model_time_steps(trained_t5, tmp_path, capsys, command):
+    corpus_dir, ckpt = trained_t5
+    corpus = load_corpus(corpus_dir)
+    ex = corpus.test[0]
+    scene = ["--scene", str(ex.scene_id)]
+    out = tmp_path / "r.json"
+    argv = {
+        "eval": ["eval", "--ckpt", str(ckpt), "--mode", "random:10", "--limit", "2",
+                 "--out", str(out)],
+        "edit": ["edit", "--ckpt", str(ckpt), *scene, "--ref", "the",
+                 "--trace", str(tmp_path / "trace.jsonl")],
+        "generate": ["generate", "--ckpt", str(ckpt), *scene],
+        "control": ["control", "--ckpt", str(ckpt), *scene,
+                    "--pins", f"0={corpus.vocab.decode(ex.caption[0])}"],
+        "rw-count": ["ablate", "--which", "rw-count", "--ckpt-dir", str(ckpt.parent),
+                     "--limit", "1", "--out", str(out)],
+    }[command]
+    assert main(argv + ["--corpus", str(corpus_dir)]) == EXIT_OK
+    assert "\nsteps=5\n" in capsys.readouterr().out
+    if command in ("eval", "rw-count"):
+        assert "steps=5\n" in Path(str(out) + ".config").read_text(encoding="utf-8")
+    if command == "eval":
+        assert json.loads(out.read_text(encoding="utf-8"))["steps"] == 5
+    if command == "edit":
+        assert len((tmp_path / "trace.jsonl").read_text().splitlines()) == 5
+    # an explicit --steps is still checked against the model
+    assert main(argv + ["--corpus", str(corpus_dir), "--steps", "6"]) == EXIT_USAGE
+    assert "usage error: --steps 6 outside 1..5" in capsys.readouterr().err
+
+
+def test_edit_has_no_seed(trained, capsys):
+    corpus_dir, ckpt = trained
+    corpus = load_corpus(corpus_dir)
+    argv = ["edit", "--ckpt", str(ckpt), "--corpus", str(corpus_dir),
+            "--scene", str(corpus.test[0].scene_id), "--ref", "the"]
+    with pytest.raises(SystemExit) as exit_info:  # argparse rejects the flag with exit 2
+        main(argv + ["--seed", "1"])
+    assert exit_info.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main(argv) == EXIT_OK
+    assert "seed=" not in capsys.readouterr().out
 
 
 def test_eval_limit_zero_is_usage_error_naming_the_limit(trained, tmp_path, capsys):

@@ -6,6 +6,7 @@ from editdiff.diffusion import (
     denoise_loop,
     make_random_sequence,
     noise_trajectory,
+    place_pins,
     sample_denoising_example,
     trace_to_jsonl_rows,
 )
@@ -16,6 +17,7 @@ from editdiff.edit_ops import (
     EditScript,
     NoiseSchedule,
     Origin,
+    Token,
 )
 from editdiff.vocab import build_vocab
 from helpers import all_keep_script
@@ -202,11 +204,19 @@ def test_denoise_validates_arguments():
         denoise_loop(AllKeepModel(), [[]], [c], 0)
     with pytest.raises(EditError):
         denoise_loop(AllKeepModel(), [[], []], [c], 1)
-    with pytest.raises(EditError):
-        denoise_loop(AllKeepModel(), [[]], [c], 1, pins=[{0: 5}, None])
-    with pytest.raises(EditError):
-        denoise_loop(AllKeepModel(), [[]], [c], 1, pins=[{3: 5}])
     assert denoise_loop(AllKeepModel(), [], [], 3) == []
+
+
+@pytest.mark.parametrize("hold", [True, False])
+def test_place_pins_tags_words_and_checks_positions(hold):
+    c = CaptionState.from_ids([5, 6, 7], step=3)
+    pinned = place_pins(c, {0: 9, 2: 8}, hold=hold)
+    assert pinned.ids() == [9, 6, 8] and pinned.step == 3
+    origin = Origin.PINNED if hold else Origin.RANDOM_WORD
+    assert [t.origin for t in pinned.tokens] == [origin, Origin.ORIGINAL, origin]
+    for pos in (3, -1):
+        with pytest.raises(EditError, match="out of range"):
+            place_pins(c, {pos: 5}, hold=hold)
 
 
 def test_denoise_hard_mode_overrides_to_keep():
@@ -214,8 +224,8 @@ def test_denoise_hard_mode_overrides_to_keep():
     first = EditScript(((EditOp.KEEP, None), (EditOp.REPLACE, 20),
                         (EditOp.REPLACE, 21), (EditOp.REPLACE, 22)))
     model = ScriptedModel(first)
-    c = CaptionState.from_ids([5, 6, 7], step=3)
-    [(out, trace)] = denoise_loop(model, [[]], [c], 3, pins=[{1: 6}])
+    c = place_pins(CaptionState.from_ids([5, 6, 7], step=3), {1: 6}, hold=True)
+    [(out, trace)] = denoise_loop(model, [[]], [c], 3)
     assert out.ids()[1] == 6
     applied = trace[0].script
     assert applied.slots[2] == (EditOp.KEEP, None)
@@ -225,20 +235,72 @@ def test_denoise_hard_mode_remaps_pins_across_inserts():
     # sentinel insert shifts every position right by one
     first = EditScript(((EditOp.INSERT, 30), (EditOp.KEEP, None), (EditOp.KEEP, None)))
     model = ScriptedModel(first)
-    c = CaptionState.from_ids([5, 6], step=2)
-    [(out, _)] = denoise_loop(model, [[]], [c], 2, pins=[{0: 5, 1: 6}])
+    c = place_pins(CaptionState.from_ids([5, 6], step=2), {0: 5, 1: 6}, hold=True)
+    [(out, _)] = denoise_loop(model, [[]], [c], 2)
     assert out.ids() == [30, 5, 6]
 
 
 def test_soft_mode_ignores_pins():
-    # a free rollout next to a pinned one in the same batch: the pins hold
-    # only in the pinned row
+    # a free rollout next to a pinned one in the same batch, from one start:
+    # the pins hold only in the pinned row
     first = EditScript(((EditOp.KEEP, None), (EditOp.REPLACE, 20), (EditOp.KEEP, None)))
     model = ScriptedModel(first)
     c = CaptionState.from_ids([5, 6], step=2)
-    (hard, _), (soft, _) = denoise_loop(model, [[], []], [c, c], 2, pins=[{0: 5}, None])
+    starts = [place_pins(c, {0: 5}, hold=True), place_pins(c, {0: 5}, hold=False)]
+    (hard, _), (soft, _) = denoise_loop(model, [[], []], starts, 2)
     assert hard.ids() == [5, 6]
     assert soft.ids() == [20, 6]
+
+
+class TwoStepModel:
+    """Plays ``first`` at the first step and ``then(caption length)`` after."""
+
+    def __init__(self, first, then):
+        self.first, self.then = first, then
+        self.calls = 0
+
+    def for_rollouts(self):
+        return self
+
+    def predict_script(self, conditions, captions, t):
+        self.calls += 1
+        return [self.first if self.calls == 1 else self.then(len(c)) for c in captions]
+
+
+K, R, I, D = EditOp.KEEP, EditOp.REPLACE, EditOp.INSERT, EditOp.DELETE
+# the start [5, 8, 7] with 8 pinned, moved by a first step that does not
+# touch it: (first script, ids after it, position of the pinned word)
+MOVES = {
+    "sentinel-insert": (((I, 30), (K, None), (K, None), (K, None)), [30, 5, 8, 7], 2),
+    "insert-before": (((K, None), (I, 30), (K, None), (K, None)), [5, 30, 8, 7], 2),
+    "delete-before": (((K, None), (D, None), (K, None), (K, None)), [8, 7], 0),
+}
+# a second step that tries to edit every word away
+ATTACKS = {
+    "replace": lambda n: ((K, None),) + tuple((R, 20 + j) for j in range(n)),
+    "delete": lambda n: ((K, None),) + ((D, None),) * n,
+    "insert": lambda n: ((K, None),) + tuple((I, 20 + j) for j in range(n)),
+}
+
+
+@pytest.mark.parametrize("attack", sorted(ATTACKS))
+@pytest.mark.parametrize("move", sorted(MOVES))
+def test_a_pinned_word_travels_and_is_held(move, attack):
+    first, moved, pos = MOVES[move]
+    model = TwoStepModel(EditScript(first), lambda n: EditScript(ATTACKS[attack](n)))
+    c = place_pins(CaptionState.from_ids([5, 6, 7], step=2), {1: 8}, hold=True)
+    [(out, trace)] = denoise_loop(model, [[]], [c], 2)
+    assert trace[0].after.ids() == moved
+    assert trace[0].after.tokens[pos] == Token(8, Origin.PINNED)
+    # every other word went its way; the pinned slot was turned into KEEP
+    assert trace[1].script.slots[pos + 1] == (K, None)
+    expected = EditScript(ATTACKS[attack](len(moved))).slots
+    assert [slot for j, slot in enumerate(trace[1].script.slots) if j != pos + 1] == \
+        [slot for j, slot in enumerate(expected) if j != pos + 1]
+    pinned_at = [j for j, tok in enumerate(out.tokens) if tok.origin is Origin.PINNED]
+    kept_before = {"replace": pos, "delete": 0, "insert": 2 * pos}[attack]
+    assert pinned_at == [kept_before]
+    assert out.tokens[kept_before] == Token(8, Origin.PINNED)
 
 
 def test_trace_serialization_rows():

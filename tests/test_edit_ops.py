@@ -12,7 +12,6 @@ from editdiff.edit_ops import (
     apply_script,
     sample_noising_step,
     step_rates,
-    survivor_map,
 )
 from editdiff.vocab import build_vocab
 from helpers import all_keep_script
@@ -111,17 +110,6 @@ def test_apply_content_origin_tagging():
         Origin.RANDOM_WORD]
 
 
-def test_survivor_map_tracks_positions():
-    s = script((I, 9), (K, None), (D, None), (R, 4), (I, 8), (K, None))
-    # output: [9, c0, 4, c3, 8, c4]; survivors are c0, c3 (insert host), c4
-    assert survivor_map(s) == {0: 1, 3: 3, 4: 5}
-
-
-def test_survivor_map_empty_for_replace_all():
-    s = script((K, None), (R, 4), (R, 5))
-    assert survivor_map(s) == {}
-
-
 def test_schedule_validation():
     NoiseSchedule()
     with pytest.raises(EditError):
@@ -175,6 +163,18 @@ def test_sample_noising_step_random_words_are_absorbing():
     assert all(op is K for op, _ in s.slots)
     assert out.ids() == [5, 6, 7]
     assert out.step == 5
+
+
+def test_sample_noising_step_noises_only_original_words():
+    vocab = build_vocab([f"w{i}" for i in range(30)])
+    sch = NoiseSchedule(w_replace=0.4, w_delete=0.3, w_insert=0.3)
+    rng = np.random.default_rng(3)
+    c = CaptionState((Token(5, Origin.PINNED), Token(6), Token(7, Origin.RANDOM_WORD)), step=9)
+    s, out = sample_noising_step(c, sch, 10, vocab, rng)  # the terminal step absorbs
+    assert s.slots[1] == (K, None) and s.slots[3] == (K, None)
+    assert s.slots[2][0] is not K
+    assert out.tokens[0] == Token(5, Origin.PINNED)
+    assert out.tokens[-1] == Token(7, Origin.RANDOM_WORD)
 
 
 def test_sample_noising_step_requires_matching_step():

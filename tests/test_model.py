@@ -10,7 +10,8 @@ from editdiff import autodiff as ad
 from editdiff import diffusion
 from editdiff.align import align
 from editdiff.autodiff import backward, grad_check
-from editdiff.diffusion import ROLLOUTS_PER_FORWARD, denoise_loop, make_random_sequence
+from editdiff.diffusion import (ROLLOUTS_PER_FORWARD, denoise_loop, make_random_sequence,
+                                place_pins)
 from editdiff.edit_ops import CaptionState, EditOp, EditScript, NoiseSchedule
 from editdiff.model import (
     CheckpointError,
@@ -617,12 +618,12 @@ def test_batched_rollouts_match_single_rollouts():
     examples = (corpus.train * 2)[:2 * ROLLOUTS_PER_FORWARD + 3]
     conditions = [ex.condition for ex in examples]
     starts = [make_random_sequence(10, corpus.vocab, rng, step=10) for _ in examples]
-    pins = [{2: starts[i].ids()[2], 6: starts[i].ids()[6]} if i % 3 == 0 else None
-            for i in range(len(examples))]
+    starts = [place_pins(s, {2: s.ids()[2], 6: s.ids()[6]}, hold=True) if i % 3 == 0 else s
+              for i, s in enumerate(starts)]
     for steps in (10, 1):
-        batch = denoise_loop(model, conditions, starts, steps, pins=pins)
-        alone = [denoise_loop(model, [cond], [start], steps, pins=[p])[0]
-                 for cond, start, p in zip(conditions, starts, pins)]
+        batch = denoise_loop(model, conditions, starts, steps)
+        alone = [denoise_loop(model, [cond], [start], steps)[0]
+                 for cond, start in zip(conditions, starts)]
         assert batch == alone
     overflowed = [len(trace) < 10 for _, trace in denoise_loop(model, conditions, starts, 10)]
     assert any(overflowed) and not all(overflowed)
