@@ -176,30 +176,40 @@ def layer_norm(x, gain, bias) -> Tensor:
     return Tensor(out_data, parents=(x, gain, bias), backward=bwd)
 
 
-def attention(q, k, v, back, key_bias, heads: int) -> Tensor:
+def attention(q, k, v, q_back, q_len: int, back, key_bias, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over ragged sequences, as one
     node.
 
-    ``q``, ``k`` and ``v`` are packed ``[N, d]`` rows.  Row n sits at flat
-    position ``back[n]`` (distinct) of B zero-padded sequences of length L,
-    and ``key_bias`` of shape ``[B, 1, 1, L]`` is added to every head's
-    scores, so a large negative entry masks a padded key.  Each of the
-    ``heads`` heads attends over ``d / heads`` columns; the result holds the
-    merged heads of the N rows.  A key bias as large and negative as the
-    model's -1e9 gives a masked key softmax weight exactly 0.0, in float64
-    and in float32, so padded keys add nothing to the result.  The padding
-    and the key bias take the dtype of ``q``.
+    ``k`` and ``v`` are packed ``[N, d]`` rows: row n sits at flat position
+    ``back[n]`` (distinct) of B zero-padded key sequences of length L, and
+    ``key_bias`` of shape ``[B, 1, 1, L]`` is added to every head's scores,
+    so a large negative entry masks a padded key.  ``q`` holds packed
+    ``[Nq, d]`` query rows: row n sits at flat position ``q_back[n]``
+    (distinct) of a ``[B, q_len]`` grid, example b's queries in its row b.
+    The queries may be the keys' own rows, at the keys' positions with
+    ``q_len`` L, or any subset of them.  Each of the ``heads`` heads attends
+    over ``d / heads`` columns; the result holds the merged heads of the Nq
+    query rows.  A key bias as large and negative as the model's -1e9 gives
+    a masked key softmax weight exactly 0.0, in float64 and in float32, so
+    padded keys add nothing to the result.  The padding and the key bias
+    take the dtype of ``q``.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    q_back = np.asarray(q_back, dtype=np.int64)
     back = np.asarray(back, dtype=np.int64)
     key_bias = np.asarray(key_bias, dtype=q.data.dtype)
     positions = key_bias.shape[0] * key_bias.shape[-1] if key_bias.ndim == 4 else 0
-    if (q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape
-            or back.shape != q.shape[:1] or heads < 1 or q.shape[1] % heads
+    q_positions = key_bias.shape[0] * q_len if key_bias.ndim == 4 else 0
+    if (q.data.ndim != 2 or k.data.ndim != 2 or k.shape[1] != q.shape[1]
+            or v.shape != k.shape or q_back.shape != q.shape[:1] or back.shape != k.shape[:1]
+            or heads < 1 or q.shape[1] % heads
             or key_bias.ndim != 4 or key_bias.shape[1:3] != (1, 1)
+            or not np.all((q_back >= 0) & (q_back < q_positions))
             or not np.all((back >= 0) & (back < positions))):
         raise ShapeError(f"attention: incompatible shapes {q.shape}, {k.shape} and {v.shape}, "
-                         f"positions {back.shape} and key bias {key_bias.shape} for {heads} heads")
+                         f"query positions {q_back.shape} in a grid of length {q_len}, "
+                         f"key positions {back.shape} and key bias {key_bias.shape} "
+                         f"for {heads} heads")
     batch, length, d = key_bias.shape[0], key_bias.shape[3], q.shape[1]
     dh = d // heads
     factor = 1.0 / math.sqrt(dh)
@@ -208,29 +218,30 @@ def attention(q, k, v, back, key_bias, heads: int) -> Tensor:
     # nodes this node replaced: rows scattered into zero padding, reshaped
     # and permuted into heads, q k^T, scaled, masked, softmax, times v, and
     # the heads merged and the rows taken back; backward mirrors each step
-    def heads_of(rows, axes):  # rows_of undoes it; each is the other's backward
-        padded = np.zeros((batch * length, d), dtype=q.data.dtype)
-        padded[back] = rows
-        return np.transpose(padded.reshape((batch, length, heads, dh)), axes)
+    def heads_of(rows, axes, at, n):  # rows_of undoes it; each is the other's backward
+        padded = np.zeros((batch * n, d), dtype=q.data.dtype)
+        padded[at] = rows
+        return np.transpose(padded.reshape((batch, n, heads, dh)), axes)
 
-    def rows_of(a, axes):
-        return np.transpose(a, axes).reshape((batch * length, d))[back]
+    def rows_of(a, axes, at, n):
+        return np.transpose(a, axes).reshape((batch * n, d))[at]
 
-    qh, kh = heads_of(q.data, (0, 2, 1, 3)), heads_of(k.data, (0, 2, 3, 1))
+    qh = heads_of(q.data, (0, 2, 1, 3), q_back, q_len)
+    kh = heads_of(k.data, (0, 2, 3, 1), back, length)
     scores = (qh @ kh) * factor + key_bias
     y = np.exp(scores - scores.max(axis=-1, keepdims=True))
     y /= y.sum(axis=-1, keepdims=True)
-    vh = heads_of(v.data, (0, 2, 1, 3))
-    out_data = rows_of(y @ vh, (0, 2, 1, 3))
+    vh = heads_of(v.data, (0, 2, 1, 3), back, length)
+    out_data = rows_of(y @ vh, (0, 2, 1, 3), q_back, q_len)
 
     def bwd(g, q=q, k=k, v=v, qh=qh, kh=kh, y=y, vh=vh):
-        g = heads_of(g, (0, 2, 1, 3))
+        g = heads_of(g, (0, 2, 1, 3), q_back, q_len)
         gy = g @ np.swapaxes(vh, -1, -2)
         gv = np.swapaxes(y, -1, -2) @ g
         gs = y * (gy - (gy * y).sum(axis=-1, keepdims=True)) * factor
-        q._accum(rows_of(gs @ np.swapaxes(kh, -1, -2), (0, 2, 1, 3)))
-        k._accum(rows_of(np.swapaxes(qh, -1, -2) @ gs, (0, 3, 1, 2)))
-        v._accum(rows_of(gv, (0, 2, 1, 3)))
+        q._accum(rows_of(gs @ np.swapaxes(kh, -1, -2), (0, 2, 1, 3), q_back, q_len))
+        k._accum(rows_of(np.swapaxes(qh, -1, -2) @ gs, (0, 3, 1, 2), back, length))
+        v._accum(rows_of(gv, (0, 2, 1, 3), back, length))
 
     return Tensor(out_data, parents=(q, k, v), backward=bwd)
 
@@ -388,14 +399,25 @@ def grad_check(f, params, eps: float = 1e-5, order: int = 2) -> float:
 
 
 class Adam:
-    """Standard Adam with bias correction; grads are cleared after a step.
+    """Adam in Kingma & Ba's efficient form (arXiv:1412.6980, section 2):
+    both bias corrections are folded into the step size and the epsilon,
 
-    The update runs in place, through one scratch pair sized to the largest
-    parameter block.  The learning rate is given to each step.
+        step = lr sqrt(1 - b2^t) / (1 - b1^t),  eps_t = eps sqrt(1 - b2^t),
+        p -= step (m / (sqrt(v) + eps_t)),
+
+    which saves two passes over every block against dividing ``m`` and ``v``
+    by their corrections.  Grads are cleared after a step.
+
+    The update runs in place, through one scratch buffer sized to the
+    largest parameter block.  The learning rate is given to each step.
+    ``BETA2`` is 0.98, as in Vaswani et al. 2017 (arXiv:1706.03762), not
+    Kingma & Ba's 0.999: under the default recipe, criterion 7's setup
+    leaves its language-loss plateau in time at each of seeds 0-4 with 0.98,
+    and at one of them with 0.999.
     """
 
     BETA1 = 0.9
-    BETA2 = 0.999
+    BETA2 = 0.98
     EPS = 1e-8
 
     def __init__(self, params):
@@ -403,29 +425,27 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = np.empty((2, max((p.data.size for p in self.params), default=0)))
+        self._scratch = np.empty(max((p.data.size for p in self.params), default=0))
 
     def step(self, lr: float) -> None:
         if any(p.grad is None for p in self.params):
             raise ValueError("adam_step: gradients missing on some parameters")
         self.step_count += 1
-        bc1 = 1 - self.BETA1 ** self.step_count
-        bc2 = 1 - self.BETA2 ** self.step_count
+        root_bc2 = math.sqrt(1 - self.BETA2 ** self.step_count)
+        step_size = lr * root_bc2 / (1 - self.BETA1 ** self.step_count)
+        eps_hat = self.EPS * root_bc2
         for p, m, v in zip(self.params, self.m, self.v):
-            # the operations and their order are those of
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
-            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-            s, r = (buf[:p.data.size].reshape(p.data.shape) for buf in self._scratch)
+            # p -= step_size (m / (sqrt(v) + eps_hat))
+            s = self._scratch[:p.data.size].reshape(p.data.shape)
             m *= self.BETA1
             m += np.multiply(p.grad, 1 - self.BETA1, out=s)
             v *= self.BETA2
             np.square(p.grad, out=s)
             v += np.multiply(s, 1 - self.BETA2, out=s)
-            np.divide(m, bc1, out=s)
-            s *= lr
-            np.divide(v, bc2, out=r)
-            np.sqrt(r, out=r)
-            r += self.EPS
-            s /= r
+            np.sqrt(v, out=s)
+            s += eps_hat
+            np.divide(m, s, out=s)
+            s *= step_size
             p.data -= s
         zero_grads(self.params)

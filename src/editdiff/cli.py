@@ -25,6 +25,7 @@ from .metrics import (MetricError, check_limit, contains_in_order, evaluate, par
                       write_report)
 from .model import (CheckpointError, ModelConfig, ModelError, TrainConfig,
                     load_checkpoint, save_checkpoint, train)
+from .vocab import VocabularyError
 from .world import (SPLITS, Corpus, WorldError, WorldSpec, load_corpus, load_spec,
                     make_corpus, read_utf8, save_corpus)
 
@@ -164,17 +165,35 @@ def find_example(corpus: Corpus, scene_id: int):
     raise MetricError(f"scene id {scene_id} not found in corpus")
 
 
-def parse_pins(text: str, vocab) -> dict[int, int]:
+def parse_pins(text: str, vocab, length: int) -> dict[int, int]:
+    """``--pins`` as {position: word id}: comma-separated POS=WORD parts,
+    each position in 0..length-1 and pinned once, each word in ``vocab``."""
     pins: dict[int, int] = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if "=" not in part:
-            raise MetricError(f"bad pin spec: {part!r} (want POS=WORD)")
-        pos, word = part.split("=", 1)
-        pins[int(pos)] = vocab.encode(word.strip())
+        pos, sep, word = part.partition("=")
+        try:
+            at = int(pos) if sep else None
+        except ValueError:
+            at = None
+        if at is None:
+            raise MetricError(f"--pins: bad part {part!r} (want POS=WORD)")
+        if not 0 <= at < length:
+            raise MetricError(f"--pins: position {at} in {part!r} is outside 0..{length - 1}")
+        if at in pins:
+            raise MetricError(f"--pins: position {at} is pinned twice, again in {part!r}")
+        try:
+            pins[at] = vocab.encode(word.strip())
+        except VocabularyError:
+            raise MetricError(f"--pins: unknown word {word.strip()!r} in {part!r}") from None
     return pins
+
+
+def check_len(n: int) -> None:
+    if n < 1:
+        raise MetricError(f"--len {n}: a random start needs at least 1 word")
 
 
 def cmd_synth(args) -> int:
@@ -264,9 +283,12 @@ def cmd_edit(args) -> int:
     corpus = load_corpus(args.corpus)
     model, steps = load_model_checked(args.ckpt, corpus, args.steps)
     ex = find_example(corpus, args.scene)
+    try:
+        ids = corpus.vocab.encode_all(args.ref.split())
+    except VocabularyError as e:
+        raise MetricError(f"--ref: {e}") from None
     announce_config("edit", {"steps": steps, "ckpt": args.ckpt, "scene": args.scene,
                              "ref": args.ref})
-    ids = corpus.vocab.encode_all(args.ref.split())
     state = CaptionState.from_ids(ids, step=steps)
     [(final, trace)] = denoise_loop(model, [ex.condition], [state], steps)
     if args.trace:
@@ -281,6 +303,7 @@ def cmd_edit(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = resolve(args, GENERATE_DEFAULTS)
+    check_len(cfg["len"])
     corpus = load_corpus(args.corpus)
     model, cfg["steps"] = load_model_checked(args.ckpt, corpus, args.steps)
     ex = find_example(corpus, args.scene)
@@ -296,12 +319,13 @@ def cmd_generate(args) -> int:
 
 def cmd_control(args) -> int:
     cfg = resolve(args, GENERATE_DEFAULTS)
+    check_len(cfg["len"])
     corpus = load_corpus(args.corpus)
     model, cfg["steps"] = load_model_checked(args.ckpt, corpus, args.steps)
     ex = find_example(corpus, args.scene)
+    pins = parse_pins(args.pins, corpus.vocab, cfg["len"])
     announce_config("control", {**cfg, "ckpt": args.ckpt, "scene": args.scene,
                                 "pins": args.pins, "mode": args.mode})
-    pins = parse_pins(args.pins, corpus.vocab)
     rng = np.random.default_rng(cfg["seed"])
     # soft mode places the pins in the start only; hard mode keeps them
     state = place_pins(make_random_sequence(cfg["len"], corpus.vocab, rng, step=cfg["steps"]),

@@ -154,10 +154,13 @@ class DenoiserModel:
     def _linear(self, x: Tensor, prefix: str, w: str = "w", b: str = "b") -> Tensor:
         return ad.linear(x, self.params[f"{prefix}.{w}"], self.params[f"{prefix}.{b}"])
 
-    def _attention(self, x: Tensor, layer: int, layout: _Layout) -> Tensor:
+    def _attention(self, xq: Tensor, x: Tensor, queries, layer: int, layout: _Layout) -> Tensor:
+        """Attention of the rows ``xq``, at the ``queries`` positions of the
+        layout, over the keys and values of every row ``x``."""
         pre = f"layers.{layer}.attn"
-        q, k, v = (self._linear(x, pre, f"w{w}", f"b{w}") for w in "qkv")
-        attn = ad.attention(q, k, v, layout.back, layout.key_bias, self.cfg.num_heads)
+        q = self._linear(xq, pre, "wq", "bq")
+        k, v = (self._linear(x, pre, f"w{w}", f"b{w}") for w in "kv")
+        attn = ad.attention(q, k, v, *queries, layout.back, layout.key_bias, self.cfg.num_heads)
         return self._linear(attn, pre, "wo", "bo")
 
     def _ffn(self, x: Tensor, layer: int) -> Tensor:
@@ -194,9 +197,12 @@ class DenoiserModel:
         The rows of all examples are packed, without padding, into one
         [N, d] matrix: every condition row, example by example, then every
         START + caption row, example by example.  Embeddings, layer norms,
-        the feed-forward blocks and the heads run on all N rows together;
-        only attention gathers the rows into padded [B, H, L, dh] sequences
-        behind a key-padding mask.  Returns (op_logits, word_logits) of the
+        the feed-forward blocks and the heads run on the rows together; only
+        attention gathers the rows into padded [B, H, L, dh] sequences behind
+        a key-padding mask.  The heads read only the START + caption rows, so
+        the last layer runs its queries, output projection, feed-forward
+        block and layer norms on those rows alone: its condition rows feed
+        keys and values only.  Returns (op_logits, word_logits) of the
         START + caption rows, l_b + 1 per example, in example order, in the
         dtype of the parameters.
         """
@@ -219,12 +225,17 @@ class DenoiserModel:
         x = self._embed(conditions, captions, ts, cond_lens, word_lens)
         layout = _Layout(cond_lens, word_lens)
         for i in range(cfg.num_layers):
-            x = ad.add(x, self._attention(self._ln(x, f"layers.{i}.ln1"), i, layout))
+            h = self._ln(x, f"layers.{i}.ln1")
+            hq, queries = h, layout.all_queries
+            if i == cfg.num_layers - 1:
+                # no head reads a condition row, and everything after
+                # attention works row by row, so the last layer drops them
+                # once they have given their keys and values
+                x, hq = ad.gather(x, layout.word_rows), ad.gather(h, layout.word_rows)
+                queries = layout.word_queries
+            x = ad.add(x, self._attention(hq, h, queries, i, layout))
             x = ad.add(x, self._ffn(self._ln(x, f"layers.{i}.ln2"), i))
-        # layer norm works row by row, so the condition rows, which no head
-        # reads, are dropped before it
-        n_cond = int(cond_lens.sum())
-        rows = self._ln(ad.gather(x, np.arange(n_cond, x.shape[0])), "ln_f")
+        rows = self._ln(x, "ln_f")
         op_logits = self._linear(rows, "edit_head")
         sentinel_mask = np.zeros((rows.shape[0], 4), dtype=dtype)
         starts = np.cumsum(word_lens) - word_lens
@@ -274,23 +285,32 @@ def _ranges(lengths: np.ndarray) -> np.ndarray:
 class _Layout:
     """Where each example's rows sit in the packed [N, d] matrix.
 
-    Attention pads the B examples to sequences of length L: ``back[n]`` is
-    the flat [B * L] position of packed row n (condition, then START +
+    Attention pads the B examples to key sequences of length L: ``back[n]``
+    is the flat [B * L] position of packed row n (condition, then START +
     caption, per example) and ``key_bias``, of shape [B, 1, 1, L], masks
-    the padded keys.  Padded positions hold zeros and get exactly zero
-    gradient: masked keys have softmax weight 0.0 and padded queries are
-    never taken back.
+    the padded keys.  ``all_queries`` places the queries of every row, as
+    ``attention``'s query positions and grid length: the key positions, in
+    the [B, L] grid.  ``word_queries`` places the queries of the START +
+    caption rows alone, packed rows ``word_rows``, in a [B, Lw] grid, where
+    Lw is the longest START + caption length.  Padded positions hold zeros
+    and get exactly zero gradient: masked keys have softmax weight 0.0 and
+    padded queries are never taken back.
     """
 
     def __init__(self, cond_lens: np.ndarray, word_lens: np.ndarray):
         seq_lens = cond_lens + word_lens
-        length = int(seq_lens.max())
+        length, word_len = int(seq_lens.max()), int(word_lens.max())
         first = np.arange(len(seq_lens)) * length  # each sequence's first flat position
         self.key_bias = np.where(np.arange(length) < seq_lens[:, None],
                                  0.0, NEG_INF)[:, None, None, :]
         self.back = np.concatenate([
             np.repeat(first, cond_lens) + _ranges(cond_lens),
             np.repeat(first + cond_lens, word_lens) + _ranges(word_lens)])
+        self.all_queries = (self.back, length)
+        self.word_queries = (np.repeat(np.arange(len(seq_lens)) * word_len, word_lens)
+                             + _ranges(word_lens), word_len)
+        n_cond = int(cond_lens.sum())
+        self.word_rows = np.arange(n_cond, n_cond + int(word_lens.sum()))
 
 
 def script_targets(gt: EditScript) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -327,10 +347,21 @@ def model_loss(op_logits: Tensor, word_logits: Tensor, scripts
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A training recipe.  The lr warms up linearly to ``lr`` over the
+    first ``warmup_frac`` of the steps, then decays linearly to zero
+    (``lr_at``); ``p_terminal`` and ``p_truncate`` set the sampler mixture.
+
+    With ``Adam.BETA2`` = 0.98 the defaults reach criterion 7's bar (EM
+    >= 0.90 and ratio >= 0.95 from random words) at each of seeds 0-4 of its
+    2000-scene setup (``tools/seed_sweep.py``).  The batch stops at 4: the
+    benchmark's ``train`` workload runs these defaults, and batch 8 lifts
+    its peak RSS past the benchmark's 5% bound.
+    """
+
     lr: float = 1e-3
     epochs: int = 30
-    batch: int = 2
-    warmup_frac: float = 0.05
+    batch: int = 4
+    warmup_frac: float = 0.15
     p_terminal: float = P_TERMINAL
     p_truncate: float = P_TRUNCATE
     seed: int = 0

@@ -5,7 +5,9 @@
 nodes that the model no longer needs.  ``unfused_linear``,
 ``unfused_layer_norm`` and ``unfused_attention`` compose them into the
 reference against which the fused ``autodiff.linear``,
-``autodiff.layer_norm`` and ``autodiff.attention`` must agree bit for bit.
+``autodiff.layer_norm`` and ``autodiff.attention`` must agree bit for bit,
+and ``all_rows_forward`` into the model's forward with a last layer that
+runs every row.
 
 ``reference_weighted_ldist`` and ``reference_align`` are the O(mn) dynamic
 programs that ``align.weighted_ldist`` and ``align.align`` replaced; the
@@ -19,6 +21,8 @@ import numpy as np
 from editdiff import autodiff as ad
 from editdiff.autodiff import ShapeError, Tensor, as_tensor
 from editdiff.edit_ops import EditOp, EditScript, Origin
+from editdiff.model import _Layout as model_layout
+from editdiff.vocab import NUM_SPECIALS
 
 
 def mul(a, b) -> Tensor:
@@ -147,7 +151,7 @@ def unfused_layer_norm(x, gain, bias) -> Tensor:
     return ad.add(mul(plain_layer_norm(x), gain), bias)
 
 
-def unfused_attention(q, k, v, back, key_bias, heads, scatter=scatter_rows,
+def unfused_attention(q, k, v, q_back, q_len, back, key_bias, heads, scatter=scatter_rows,
                       take=take_rows) -> Tensor:
     """``autodiff.attention`` as a chain of primitive nodes.  ``scatter`` and
     ``take`` place the packed rows into the padded sequences and take them
@@ -156,15 +160,53 @@ def unfused_attention(q, k, v, back, key_bias, heads, scatter=scatter_rows,
     d = q.shape[1]
     dh = d // heads
 
-    def heads_of(a, axes):
-        padded = scatter(a, back, batch * length)
-        return transpose(reshape(padded, (batch, length, heads, dh)), axes)
+    def heads_of(a, axes, at, n):
+        padded = scatter(a, at, batch * n)
+        return transpose(reshape(padded, (batch, n, heads, dh)), axes)
 
-    attn = ad.scale(matmul(heads_of(q, (0, 2, 1, 3)), heads_of(k, (0, 2, 3, 1))),
+    attn = ad.scale(matmul(heads_of(q, (0, 2, 1, 3), q_back, q_len),
+                           heads_of(k, (0, 2, 3, 1), back, length)),
                     1.0 / math.sqrt(dh))
     attn = ad.add(attn, Tensor(key_bias))
-    attn = matmul(softmax(attn), heads_of(v, (0, 2, 1, 3)))
-    return take(reshape(transpose(attn, (0, 2, 1, 3)), (batch * length, d)), back)
+    attn = matmul(softmax(attn), heads_of(v, (0, 2, 1, 3), back, length))
+    return take(reshape(transpose(attn, (0, 2, 1, 3)), (batch * q_len, d)), q_back)
+
+
+def all_rows_forward(model, conditions, captions, ts) -> tuple[Tensor, Tensor]:
+    """``DenoiserModel.forward_packed`` from the unfused nodes, with every
+    row, condition rows included, run through every layer, the last one
+    too; the START + caption rows are taken only before the final layer
+    norm."""
+    p = model.params
+    cond_lens = np.array([len(c) for c in conditions], dtype=np.int64)
+    word_lens = np.array([len(c) + 1 for c in captions], dtype=np.int64)
+    x = model._embed(conditions, captions, ts, cond_lens, word_lens)
+    layout = model_layout(cond_lens, word_lens)
+
+    def ln(a, pre):
+        return unfused_layer_norm(a, p[f"{pre}.g"], p[f"{pre}.b"])
+
+    def lin(a, pre, w="w", b="b"):
+        return unfused_linear(a, p[f"{pre}.{w}"], p[f"{pre}.{b}"])
+
+    for i in range(model.cfg.num_layers):
+        h = ln(x, f"layers.{i}.ln1")
+        pre = f"layers.{i}.attn"
+        q, k, v = (lin(h, pre, f"w{w}", f"b{w}") for w in "qkv")
+        attn = unfused_attention(q, k, v, *layout.all_queries, layout.back, layout.key_bias,
+                                 model.cfg.num_heads)
+        x = ad.add(x, lin(attn, pre, "wo", "bo"))
+        pre = f"layers.{i}.ffn"
+        x = ad.add(x, lin(ad.silu(lin(ln(x, f"layers.{i}.ln2"), pre, "w1", "b1")),
+                          pre, "w2", "b2"))
+    rows = ln(take_rows(x, layout.word_rows), "ln_f")
+    op_mask = np.zeros((rows.shape[0], 4))
+    starts = np.cumsum(word_lens) - word_lens
+    op_mask[starts, int(EditOp.REPLACE)] = op_mask[starts, int(EditOp.DELETE)] = -1e9
+    word_mask = np.zeros((1, model.cfg.vocab_size))
+    word_mask[0, :NUM_SPECIALS] = -1e9
+    return (ad.add(lin(rows, "edit_head"), Tensor(op_mask)),
+            ad.add(lin(rows, "lang_head"), Tensor(word_mask)))
 
 
 def all_keep_script(caption_len: int) -> EditScript:

@@ -244,9 +244,9 @@ def test_float32_data_stays_float32_only_where_no_tape_is_built():
     assert Tensor(narrow.astype(np.float64)).data.dtype == np.float64
     assert Tensor(3).data.dtype == np.float64
     (q, k, v), back, key_bias = _ragged_attention_inputs(rng)
-    wide = ad.attention(q, k, v, back, key_bias, 2)
+    wide = ad.attention(q, k, v, back, 3, back, key_bias, 2)
     q32, k32, v32 = (Tensor(t.data.astype(np.float32)) for t in (q, k, v))
-    out = ad.attention(q32, k32, v32, back, key_bias, 2)
+    out = ad.attention(q32, k32, v32, back, 3, back, key_bias, 2)
     h = ad.layer_norm(ad.silu(ad.add(out, ad.scale(q32, 0.5))),
                       Tensor(narrow[0]), Tensor(narrow[1]))
     rows = ad.concat([ad.gather(h, [0, 2]), ad.gather(h, [1, 3])])
@@ -323,18 +323,45 @@ def test_adam_in_place_matches_the_textbook_update():
     m = [np.zeros(s) for s in shapes]
     v = [np.zeros(s) for s in shapes]
     adam = Adam(params)
+    b1, b2, eps = Adam.BETA1, Adam.BETA2, Adam.EPS
     for step in range(1, 6):
         lr = 1e-2 * step
         for k, p in enumerate(params):
             g = rng.normal(size=shapes[k])
             p.grad = g.copy()
-            m[k] = 0.9 * m[k] + (1 - 0.9) * g
-            v[k] = 0.999 * v[k] + (1 - 0.999) * g ** 2
-            ref[k] = ref[k] - lr * (m[k] / (1 - 0.9 ** step)) / (
-                np.sqrt(v[k] / (1 - 0.999 ** step)) + 1e-8)
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g ** 2
+            step_size = lr * np.sqrt(1 - b2 ** step) / (1 - b1 ** step)
+            eps_hat = eps * np.sqrt(1 - b2 ** step)
+            ref[k] = ref[k] - step_size * (m[k] / (np.sqrt(v[k]) + eps_hat))
         adam.step(lr=lr)
     for p, r in zip(params, ref):
         assert np.array_equal(p.data, r)
+
+
+def test_adam_efficient_form_stays_within_1e12_of_the_standard_form():
+    # Kingma & Ba's two forms of the bias-corrected update are equal in exact
+    # arithmetic; over 20 steps on the same gradients they part by rounding
+    rng = np.random.default_rng(15)
+    shapes = [(40, 30), (30,), (500,)]
+    params = [leaf(rng.normal(size=s)) for s in shapes]
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    adam = Adam(params)
+    b1, b2, eps = Adam.BETA1, Adam.BETA2, Adam.EPS
+    for step in range(1, 21):
+        lr = 1e-3 * min(step, 10)
+        for k, p in enumerate(params):
+            g = rng.normal(size=shapes[k]) * 10.0 ** rng.integers(-4, 2)
+            p.grad = g.copy()
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g ** 2
+            ref[k] = ref[k] - lr * (m[k] / (1 - b1 ** step)) / (
+                np.sqrt(v[k] / (1 - b2 ** step)) + eps)
+        adam.step(lr=lr)
+    worst = max(np.abs(p.data - r).max() for p, r in zip(params, ref))
+    assert 0 < worst <= 1e-12
 
 
 def test_first_gradient_is_kept_and_a_shared_one_is_not_written_into():
@@ -410,37 +437,65 @@ def _ragged_attention_inputs(rng, d=6):
     return inputs, back, key_bias
 
 
+# three query rows of their own, out of order in a [2, 2] grid: two for the
+# first sequence, one for the second, and flat position 3 is padding
+QUERY_BACK = np.array([2, 0, 1])
+
+
 @pytest.mark.parametrize("heads", [1, 2, 3])
 def test_attention_is_the_padded_composition_bit_for_bit(heads):
     rng = np.random.default_rng(13)
-    inputs, back, key_bias = _ragged_attention_inputs(rng)
-    weights = Tensor(rng.normal(size=(5, 6)))
+    keys, back, key_bias = _ragged_attention_inputs(rng)
+    # the queries are the keys' own rows, then three rows of their own
+    for inputs, queries in ((keys, (back, 3)),
+                            ([leaf(rng.normal(size=(3, 6)))] + keys[1:], (QUERY_BACK, 2))):
+        weights = Tensor(rng.normal(size=inputs[0].shape))
 
-    def fused(q, k, v):
-        return ad.attention(q, k, v, back, key_bias, heads)
+        def fused(q, k, v):
+            return ad.attention(q, k, v, *queries, back, key_bias, heads)
 
-    def unfused(q, k, v):
-        return unfused_attention(q, k, v, back, key_bias, heads)
+        def unfused(q, k, v):
+            return unfused_attention(q, k, v, *queries, back, key_bias, heads)
 
-    got, want = _fused_against_unfused(fused, unfused, inputs, weights)
-    assert len(got) == 4 and all(np.array_equal(f, u) for f, u in zip(got, want))
-    assert all(np.abs(g).sum() > 0 for g in got[1:])
-    assert grad_check(lambda: sum_all(mul(fused(*inputs), weights)), inputs) < 1e-6
+        got, want = _fused_against_unfused(fused, unfused, inputs, weights)
+        assert len(got) == 4 and all(np.array_equal(f, u) for f, u in zip(got, want))
+        assert all(np.abs(g).sum() > 0 for g in got[1:])
+        assert grad_check(lambda: sum_all(mul(fused(*inputs), weights)), inputs) < 1e-6
+
+
+def test_attention_of_a_subset_of_queries_is_those_rows_of_the_full_attention():
+    rng = np.random.default_rng(16)
+    (q, k, v), back, key_bias = _ragged_attention_inputs(rng)
+    full = ad.attention(q, k, v, back, 3, back, key_bias, 2)
+    # packed rows 1, 3 and 0 sit at (sequence, slot) (0, 0), (0, 1) and (1, 0),
+    # which a [2, 2] grid holds at flat positions 0, 1 and 2
+    rows = [1, 3, 0]
+    part = ad.attention(ad.gather(q, rows), k, v, np.array([0, 1, 2]), 2, back, key_bias, 2)
+    assert np.abs(part.data - full.data[rows]).max() < 1e-15
 
 
 def test_attention_rejects_bad_shapes():
     rng = np.random.default_rng(14)
     (q, k, v), back, key_bias = _ragged_attention_inputs(rng)
-    ad.attention(q, k, v, back, key_bias, 2)
-    bad = [(q, k, leaf(np.ones((4, 6))), back, key_bias, 2),  # v rows
-           (leaf(np.ones((5, 6, 1))), k, v, back, key_bias, 2),  # 3-D q
-           (q, k, v, back, key_bias, 4),  # 6 columns into 4 heads
-           (q, k, v, back, key_bias, 0),
-           (q, k, v, back[:4], key_bias, 2),  # one position short
-           (q, k, v, np.array([3, 0, 4, 1, 6]), key_bias, 2),  # past the padding
-           (q, k, v, np.array([3, 0, 4, 1, -1]), key_bias, 2),
-           (q, k, v, back, key_bias[:, 0], 2),  # 3-D key bias
-           (q, k, v, back, np.zeros((2, 2, 1, 3)), 2)]
+    q3 = leaf(rng.normal(size=(3, 6)))
+    ad.attention(q, k, v, back, 3, back, key_bias, 2)
+    ad.attention(q3, k, v, QUERY_BACK, 2, back, key_bias, 2)
+    bad = [(q, k, leaf(np.ones((4, 6))), back, 3, back, key_bias, 2),  # v rows
+           (q, leaf(np.ones((4, 6))), v, back, 3, back, key_bias, 2),  # k rows
+           (leaf(np.ones((5, 6, 1))), k, v, back, 3, back, key_bias, 2),  # 3-D q
+           (q, k, v, back, 3, back, key_bias, 4),  # 6 columns into 4 heads
+           (q, k, v, back, 3, back, key_bias, 0),
+           (q, k, v, back, 3, back[:4], key_bias, 2),  # one key position short
+           (q, k, v, back, 3, np.array([3, 0, 4, 1, 6]), key_bias, 2),  # past the padding
+           (q, k, v, back, 3, np.array([3, 0, 4, 1, -1]), key_bias, 2),
+           (q, k, v, back, 3, back, key_bias[:, 0], 2),  # 3-D key bias
+           (q, k, v, back, 3, back, np.zeros((2, 2, 1, 3)), 2),
+           # query rows that do not match their positions
+           (q, k, v, QUERY_BACK, 2, back, key_bias, 2),  # 5 rows, 3 positions
+           (q3, k, v, back, 3, back, key_bias, 2),  # 3 rows, 5 positions
+           (q3, k, v, QUERY_BACK, 1, back, key_bias, 2),  # past a [2, 1] grid
+           (q3, k, v, np.array([2, 0, -1]), 2, back, key_bias, 2),
+           (leaf(np.ones((3, 4))), k, v, QUERY_BACK, 2, back, key_bias, 2)]  # q columns
     for args in bad:
         with pytest.raises(ShapeError):
             ad.attention(*args)

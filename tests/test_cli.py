@@ -55,10 +55,12 @@ def test_parse_pins_round_trip():
     corpus = make_corpus(WorldSpec(), 10, seed=0)
     word0 = corpus.vocab.decode(corpus.train[0].caption[0])
     word1 = corpus.vocab.decode(corpus.train[0].caption[1])
-    pins = parse_pins(f"2={word0}, 6={word1}", corpus.vocab)
+    pins = parse_pins(f"2={word0}, 6={word1}", corpus.vocab, 7)
     assert pins == {2: corpus.train[0].caption[0], 6: corpus.train[0].caption[1]}
     with pytest.raises(MetricError):
-        parse_pins("nonsense", corpus.vocab)
+        parse_pins("nonsense", corpus.vocab, 7)
+    with pytest.raises(MetricError, match="outside 0..5"):
+        parse_pins(f"6={word1}", corpus.vocab, 6)
 
 
 def test_ratio_command(capsys):
@@ -465,6 +467,33 @@ def test_control_pin_out_of_range(trained, capsys):
     code = main(["control", "--ckpt", str(ckpt), "--corpus", str(corpus_dir),
                  "--scene", str(ex.scene_id), "--pins", f"99={w}", "--len", "10"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("control", ["--pins", "x=hawk"], "--pins: bad part 'x=hawk'"),
+    ("control", ["--pins", "2"], "--pins: bad part '2'"),
+    ("control", ["--pins", "2={w},2={w}"], "--pins: position 2 is pinned twice"),
+    ("control", ["--pins", "99={w}"], "--pins: position 99 in '99={w}' is outside 0..9"),
+    ("control", ["--pins=-1={w}"], "--pins: position -1"),
+    ("control", ["--pins", "2=zzz"], "--pins: unknown word 'zzz' in '2=zzz'"),
+    ("control", ["--pins", "2={w}", "--len", "0"], "--len 0"),
+    ("generate", ["--len", "0"], "--len 0"),
+    ("generate", ["--len", "-3"], "--len -3"),
+    ("edit", ["--ref", "zzz qqq"], "--ref: unknown word: 'zzz'"),
+])
+def test_rollout_inputs_are_checked_before_the_config_is_printed(trained, capsys, command,
+                                                                 flags, named):
+    corpus_dir, ckpt = trained
+    corpus = load_corpus(corpus_dir)
+    ex = corpus.test[0]
+    w = corpus.vocab.decode(ex.caption[0])
+    flags = [f.replace("{w}", w) for f in flags]
+    code = main([command, "--ckpt", str(ckpt), "--corpus", str(corpus_dir),
+                 "--scene", str(ex.scene_id), "--steps", "2"] + flags)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert named.replace("{w}", w) in captured.err
 
 
 def test_eval_command_writes_reports(trained, tmp_path, capsys):

@@ -29,7 +29,8 @@ from editdiff.model import (
 )
 from editdiff.vocab import NUM_SPECIALS
 from editdiff.world import WorldSpec, make_corpus
-from helpers import all_keep_script, unfused_attention, unfused_layer_norm, unfused_linear
+from helpers import (all_keep_script, all_rows_forward, unfused_attention, unfused_layer_norm,
+                     unfused_linear)
 
 K, R, I, D = EditOp.KEEP, EditOp.REPLACE, EditOp.INSERT, EditOp.DELETE
 
@@ -331,28 +332,48 @@ def test_packed_forward_matches_single_forward():
 
 
 def test_packed_forward_gradient_check():
-    m = DenoiserModel(ModelConfig(vocab_size=12, cond_vocab_size=9, embed_dim=8,
-                                  num_layers=1, num_heads=2, ffn_dim=16, max_seq_len=16,
-                                  seed=2))
     conditions = [[0, 1, 2], [], [3]]
     captions = [[5, 6, 7], [8], [4, 9]]
     gts = [EditScript(((K, None), (R, 7), (I, 4), (D, None))),
            EditScript(((I, 5), (R, 6))),
            EditScript(((K, None), (K, None), (D, None)))]
+    # one layer is the last layer alone; with two, the first runs every row
+    for num_layers in (1, 2):
+        m = DenoiserModel(ModelConfig(vocab_size=12, cond_vocab_size=9, embed_dim=8,
+                                      num_layers=num_layers, num_heads=2, ffn_dim=16,
+                                      max_seq_len=16, seed=2))
 
-    def f():
-        op_logits, word_logits = m.forward_packed(conditions, captions, [3, 1, 7])
-        total, start = None, 0
-        for gt in gts:
-            rows = np.arange(start, start + len(gt))
-            start += len(gt)
-            loss, _, _ = model_loss(ad.gather(op_logits, rows), ad.gather(word_logits, rows),
-                                    gt)
-            total = loss if total is None else ad.add(total, loss)
-        return total
+        def f():
+            op_logits, word_logits = m.forward_packed(conditions, captions, [3, 1, 7])
+            total, start = None, 0
+            for gt in gts:
+                rows = np.arange(start, start + len(gt))
+                start += len(gt)
+                loss, _, _ = model_loss(ad.gather(op_logits, rows),
+                                        ad.gather(word_logits, rows), gt)
+                total = loss if total is None else ad.add(total, loss)
+            return total
 
-    err = grad_check(f, m.param_list(), eps=1e-3, order=4)
-    assert err < 1e-4
+        err = grad_check(f, m.param_list(), eps=1e-3, order=4)
+        assert err < 1e-4, num_layers
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_a_last_layer_on_the_caption_rows_gives_the_all_rows_logits(num_layers):
+    # the reference runs the condition rows through the last layer too, from
+    # the unfused nodes, and takes the caption rows only before ln_f
+    m = DenoiserModel(ModelConfig(vocab_size=30, cond_vocab_size=20, embed_dim=16,
+                                  num_layers=num_layers, num_heads=4, ffn_dim=24,
+                                  max_seq_len=24, seed=7))
+    rng = np.random.default_rng(8)
+    conditions = [rng.integers(0, 20, n).tolist() for n in (0, 3, 9, 3, 0, 9)]
+    captions = [rng.integers(4, 30, n).tolist() for n in (5, 0, 7, 12, 2, 1)]
+    ts = [int(t) for t in rng.integers(1, m.cfg.max_T + 1, 6)]
+    got = m.forward_packed(conditions, captions, ts)
+    want = all_rows_forward(m, conditions, captions, ts)
+    for g, w in zip(got, want):
+        assert g.data.dtype == np.float64 and g.shape == w.shape
+        assert np.abs(g.data - w.data).max() < 1e-12
 
 
 RAGGED_CONDITIONS = [[0, 1, 2], [], [3]]
@@ -451,7 +472,8 @@ def test_fused_nodes_give_the_unfused_gradients_bit_for_bit(monkeypatch):
 
 def test_training_forward_builds_a_fixed_number_of_tensors(monkeypatch):
     # two layers of a ragged 3-example batch, with one node per linear, per
-    # layer norm and per attention: splitting any of them up changes the count
+    # layer norm and per attention, and the last layer's two gathers of the
+    # caption rows: splitting any of them up changes the count
     m = ragged_model()
     built = []
     real = ad.Tensor.__init__
@@ -462,7 +484,7 @@ def test_training_forward_builds_a_fixed_number_of_tensors(monkeypatch):
 
     monkeypatch.setattr(ad.Tensor, "__init__", counting)
     m.forward_packed(RAGGED_CONDITIONS, RAGGED_CAPTIONS, RAGGED_TS)
-    assert len(built) == 45
+    assert len(built) == 46
 
 
 def test_train_config_validation():
