@@ -144,15 +144,17 @@ def check_limit(limit: int | None) -> None:
         raise MetricError(f"limit must be >= 1, got {limit}")
 
 
-def evaluate(model, corpus: Corpus, mode: str, steps: int, seed: int | np.random.Generator,
+def evaluate(model, corpus: Corpus, mode: str, steps: int, seed: int,
              split: str = "test", limit: int | None = None) -> dict:
     """Run the denoiser over a split in the given mode and aggregate metrics.
-    ``seed`` may be a ``Generator``, which then draws the starts itself.
+    The integer ``seed`` alone decides the starts.
 
     Control mode places two caption words (``default_pins``) in each start
     and rolls it out twice in one batch: with the words hard-pinned, and
     soft, placed in the start only."""
     kind, arg = parse_mode(mode)
+    if type(seed) is not int:  # the report holds the seed, so it must be JSON
+        raise MetricError(f"seed must be an int, got {type(seed).__name__}")
     vocab = corpus.vocab
     rng = np.random.default_rng(seed)
     check_limit(limit)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .align import lev_ratio
+from .align import weighted_ldist
 from .vocab import NUM_SPECIALS, PAD, START, Vocabulary, build_vocab, sample_random_word
 
 ENTITIES = (
@@ -304,9 +304,8 @@ def corrupt_to_ratio(x0, target_ratio: float, vocab: Vocabulary,
                      rng: np.random.Generator) -> list[int]:
     """Replace words so the similarity ratio to x0 lands as close to target as possible.
 
-    Replacing j of n words yields ratio 1 - j/n, so j is chosen in closed
-    form; draws whose replacements accidentally shorten the edit distance
-    are resampled.
+    Replacing j of n words yields ratio 1 - j/n and weighted distance 2j, so
+    j is chosen in closed form; a draw that shortens the distance is redrawn.
     """
     x0 = list(x0)
     if not 0 <= target_ratio <= 1:
@@ -317,9 +316,7 @@ def corrupt_to_ratio(x0, target_ratio: float, vocab: Vocabulary,
     j = int(round(n * (1 - target_ratio)))
     if j == 0:
         return list(x0)
-    expected = 1 - j / n
-    best: list[int] | None = None
-    best_err = float("inf")
+    best, best_dist = None, -1
     for _ in range(CORRUPT_ATTEMPTS):
         out = list(x0)
         positions = rng.choice(n, size=j, replace=False)
@@ -328,9 +325,9 @@ def corrupt_to_ratio(x0, target_ratio: float, vocab: Vocabulary,
             while word == x0[pos]:
                 word = sample_random_word(vocab, rng)
             out[pos] = word
-        err = abs(lev_ratio(out, x0) - expected)
-        if err < best_err:
-            best, best_err = out, err
-        if err == 0:
+        dist = weighted_ldist(out, x0)
+        if dist > best_dist:
+            best, best_dist = out, dist
+        if dist == 2 * j:
             break
     return best

@@ -217,6 +217,15 @@ def test_evaluate_limit_and_empty_split(small_corpus):
         evaluate(model, small_corpus, "random:10", steps=3, seed=0, limit=0)
 
 
+def test_evaluate_takes_an_integer_seed_only(small_corpus):
+    # a Generator would draw the starts from a caller's stream and not serialize
+    model = OracleModel(small_corpus)
+    for seed in (np.random.default_rng(0), 0.0, "0"):
+        with pytest.raises(MetricError, match="seed"):
+            evaluate(model, small_corpus, "random:10", steps=3, seed=seed)
+    assert json.dumps(evaluate(model, small_corpus, "random:10", steps=3, seed=0, limit=1))
+
+
 def test_evaluate_rejects_negative_limit(small_corpus):
     # a negative limit would slice off scenes from the end instead
     with pytest.raises(MetricError, match="limit"):

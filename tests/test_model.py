@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import inspect
 from pathlib import Path
@@ -13,6 +12,7 @@ from editdiff.autodiff import backward, grad_check
 from editdiff.diffusion import (ROLLOUTS_PER_FORWARD, denoise_loop, make_random_sequence,
                                 place_pins)
 from editdiff.edit_ops import CaptionState, EditOp, EditScript, NoiseSchedule
+from editdiff.metrics import evaluate
 from editdiff.model import (
     CheckpointError,
     DenoiserModel,
@@ -207,13 +207,20 @@ class _HalfOracle:
                 else all_keep_script(len(c)) for cond, c in zip(conditions, captions)]
 
 
-def _reference_holdout(net, corpus, sch, rng, cap):
+def _reference_holdout(net, corpus, sch, cap):
     subset = corpus.val[:cap]
+    rng = np.random.default_rng(0)
     starts = [make_random_sequence(sch.target_len, corpus.vocab, rng, step=sch.T)
               for _ in subset]
     results = denoise_loop(net, [ex.condition for ex in subset], starts, sch.T)
     hits = sum(final.ids() == list(ex.caption) for ex, (final, _) in zip(subset, results))
     return hits / len(subset)
+
+
+def _tiny_training(corpus):
+    cfg = ModelConfig(vocab_size=corpus.vocab.size, cond_vocab_size=corpus.spec.cond_vocab_size,
+                      embed_dim=8, num_layers=1, num_heads=1, ffn_dim=16, seed=4)
+    return train(corpus, NoiseSchedule(), cfg, TrainConfig(epochs=2, seed=7))
 
 
 @pytest.mark.parametrize("cap", [2, 50])
@@ -226,16 +233,35 @@ def test_holdout_is_the_rollout_exact_match_on_the_first_val_scenes(monkeypatch,
     net = (_HalfOracle(corpus.val) if kind == "oracle" else DenoiserModel(ModelConfig(
         vocab_size=corpus.vocab.size, cond_vocab_size=corpus.spec.cond_vocab_size,
         embed_dim=8, num_layers=1, num_heads=1, ffn_dim=16, seed=4)))
-    rng = np.random.default_rng(11)
-    ref_rng = copy.deepcopy(rng)
-    em = holdout_exact_match(net, corpus, sch, rng)
-    assert em == _reference_holdout(net, corpus, sch, ref_rng, cap)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state  # the starts' draws only
+    em = holdout_exact_match(net, corpus, sch)
+    assert em == _reference_holdout(net, corpus, sch, cap)
     if kind == "oracle":
         assert em == 0.5
     corpus.val.clear()
-    assert holdout_exact_match(net, corpus, sch, rng) == 0.0
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert holdout_exact_match(net, corpus, sch) == 0.0
+
+
+def test_train_logs_evaluates_exact_match_at_eval_seed_0(monkeypatch):
+    corpus = make_corpus(WorldSpec(), 60, seed=6)
+    monkeypatch.setattr("editdiff.model.HOLDOUT_CAP", 2)
+    net, log = _tiny_training(corpus)
+    sch = NoiseSchedule()
+    report = evaluate(net, corpus, f"random:{sch.target_len}", sch.T, 0, split="val", limit=2)
+    assert log[-1]["holdout_em"] == report["aggregates"]["em"]
+    corpus.val.clear()
+    assert [row["holdout_em"] for row in _tiny_training(corpus)[1]] == [0.0, 0.0]
+
+
+def test_the_holdout_does_not_change_the_checkpoint(monkeypatch, tmp_path):
+    corpus = make_corpus(WorldSpec(), 60, seed=6)
+    runs = []
+    for cap in (1, 50):
+        monkeypatch.setattr("editdiff.model.HOLDOUT_CAP", cap)
+        net, log = _tiny_training(corpus)
+        save_checkpoint(net, tmp_path / f"cap{cap}.ckpt")
+        runs.append(((tmp_path / f"cap{cap}.ckpt").read_bytes(),
+                     [(row["loss_edit"], row["loss_language"]) for row in log]))
+    assert runs[0] == runs[1]
 
 
 def test_the_sampler_mixture_is_declared_once():

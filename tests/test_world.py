@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from editdiff.align import lev_ratio
+from editdiff.align import weighted_ldist
 from editdiff.vocab import NUM_SPECIALS
 from editdiff.world import (
     GLUE,
@@ -143,8 +143,30 @@ def test_corrupt_to_ratio_hits_target(ratio):
     for ex in corpus.train[:10]:
         out = corrupt_to_ratio(ex.caption, ratio, vocab, rng)
         n = len(ex.caption)
-        expected = 1 - round(n * (1 - ratio)) / n
-        assert lev_ratio(out, ex.caption) == pytest.approx(expected, abs=0.11)
+        assert len(out) == n
+        assert weighted_ldist(out, ex.caption) == 2 * round(n * (1 - ratio))
+
+
+def test_corrupt_to_ratio_stops_at_an_exact_first_draw(monkeypatch):
+    vocab = build_world_vocab(SPEC)
+    corpus = make_corpus(SPEC, 60, seed=0)
+    captions = {len(ex.caption): ex.caption for ex in corpus.train}
+    assert sorted(captions) == [7, 9, 12]
+    for n, x0 in captions.items():
+        for j in range(1, n + 1):
+            monkeypatch.setattr("editdiff.world.CORRUPT_ATTEMPTS", 1)
+            for seed in range(100):
+                one = np.random.default_rng(seed)
+                first = corrupt_to_ratio(x0, 1 - j / n, vocab, one)
+                if weighted_ldist(first, x0) == 2 * j:
+                    break
+            else:
+                pytest.fail(f"no seed below 100 gives an exact first draw for n={n}, j={j}")
+            monkeypatch.undo()
+            rng = np.random.default_rng(seed)
+            assert corrupt_to_ratio(x0, 1 - j / n, vocab, rng) == first
+            # the draws of one attempt only
+            assert rng.bit_generator.state == one.bit_generator.state, (n, j)
 
 
 def test_corrupt_ratio_one_is_identity():

@@ -10,8 +10,10 @@ default of ``TrainConfig`` or a size of ``ModelConfig`` (``embed_dim``,
 ``num_layers``, ``num_heads``, ``ffn_dim``) for every seed; any other key
 is rejected.  ``--jobs`` seeds train at a time, each in its own process
 with BLAS pinned to one thread.  One line per seed gives the exact match,
-the ratio, the training seconds and the first epoch whose mean language
-loss is below 1.0 ("-" if none is).
+the ratio, the last epoch's holdout exact match, the training seconds and
+the first epoch whose mean language loss is below 1.0 ("-" if none is).
+Every seed's holdout rolls out the same starts, so that column compares
+across seeds.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ def run_seed(seed: int, n: int, overrides: dict) -> dict:
     train_s = time.time() - t0
     agg = evaluate(model, corpus, f"random:{sch.target_len}", sch.T, 0)["aggregates"]
     below = [row["epoch"] for row in log if row["loss_language"] < 1.0]
-    return {"seed": seed, "em": agg["em"], "ratio": agg["ratio"], "train_s": train_s,
+    return {"seed": seed, "em": agg["em"], "ratio": agg["ratio"],
+            "holdout_em": log[-1]["holdout_em"], "train_s": train_s,
             "first_epoch_lang_below_1": below[0] if below else None}
 
 
@@ -98,7 +101,8 @@ def main(argv=None) -> int:
             first = "-" if r["first_epoch_lang_below_1"] is None else r["first_epoch_lang_below_1"]
             passed += r["em"] >= PASS_EM and r["ratio"] >= PASS_RATIO
             print(f"seed {r['seed']}  em {r['em']:.3f}  ratio {r['ratio']:.3f}  "
-                  f"train {r['train_s']:.0f}s  language<1.0 at epoch {first}", flush=True)
+                  f"holdout-em {r['holdout_em']:.3f}  train {r['train_s']:.0f}s  "
+                  f"language<1.0 at epoch {first}", flush=True)
     print(f"# {passed} of {len(seeds)} seeds reach em >= {PASS_EM} and ratio >= {PASS_RATIO}")
     return 0
 
