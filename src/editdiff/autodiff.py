@@ -2,11 +2,13 @@
 
 A node is recorded, keeping its parents and backward closure, exactly when
 one of its inputs requires grad, so a forward over parameters that do not
-require grad builds no tape.  A tensor that requires grad holds float64;
-any other keeps float32 data as float32: rollouts, which read only
-argmaxes, run in single precision on float32 parameters, while every tape
-has a float64 leaf, and numpy promotes float32 operands to float64.  The
-ops keep the dtype of their operands.
+require grad builds no tape.  A node takes its operands' dtype: float32
+data stays float32 and anything else is held as float64, so float32
+leaves build a float32 tape, and numpy promotes a node with any float64
+operand to float64.  Rollouts run tape-free on float32 parameters;
+training runs a float32 tape on a float32 working copy of the model, and
+``Adam`` keeps the float64 master copy it updates.  A float64 model still
+runs a float64 tape.
 
 A dynamic tape is rebuilt on every forward pass.  Backward consumes it in a
 fixed topological order, so single-threaded runs are bit-reproducible: each
@@ -56,7 +58,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         data = np.asarray(data)
-        if self.requires_grad or data.dtype != np.float32:
+        if data.dtype != np.float32:
             data = np.asarray(data, dtype=np.float64)
         self.data = data
         self.grad: np.ndarray | None = None
@@ -255,8 +257,20 @@ def gather(table, ids) -> Tensor:
         raise ShapeError("gather: cannot select rows of a scalar")
 
     def bwd(g, t=table, ids=ids):
+        # a scatter for distinct rows; the gradients of a repeated row are
+        # summed by a one-hot product over the distinct rows, which costs a
+        # fraction of np.add.at
+        flat = ids.reshape(-1)
+        row_shape = t.data.shape[1:]
+        g = g.reshape((flat.size,) + row_shape)
+        rows, at = np.unique(flat, return_inverse=True)
+        if rows.size < flat.size:
+            onehot = np.zeros((rows.size, flat.size), dtype=g.dtype)
+            onehot[at, np.arange(flat.size)] = 1.0
+            g = (onehot @ g.reshape(flat.size, -1)).reshape((rows.size,) + row_shape)
+            flat = rows
         buf = np.zeros_like(t.data)
-        np.add.at(buf, ids, g)
+        buf[flat] = g
         t._accum(buf)
 
     return Tensor(table.data[ids], parents=(table,), backward=bwd)
@@ -408,8 +422,17 @@ class Adam:
     which saves two passes over every block against dividing ``m`` and ``v``
     by their corrections.  Grads are cleared after a step.
 
-    The update runs in place, through one scratch buffer sized to the
-    largest parameter block.  The learning rate is given to each step.
+    ``master``, if given, holds one float64 tensor per parameter, in the
+    same order and shapes: the copy that the step updates, as in
+    Micikevicius et al. 2018 (arXiv:1710.03740).  A step then reads the
+    gradients of ``params``, a float32 working copy, and writes each master
+    block, cast to float32, into its parameter right after updating it, so
+    the working copy never accumulates float32 rounding.  Without
+    ``master``, ``params`` are their own master.  The moments are float64
+    either way.
+
+    The update runs in place, through one float64 scratch buffer sized to
+    the largest parameter block.  The learning rate is given to each step.
     ``BETA2`` is 0.98, as in Vaswani et al. 2017 (arXiv:1706.03762), not
     Kingma & Ba's 0.999: under the default recipe, criterion 7's setup
     leaves its language-loss plateau in time at each of seeds 0-4 with 0.98,
@@ -420,12 +443,13 @@ class Adam:
     BETA2 = 0.98
     EPS = 1e-8
 
-    def __init__(self, params):
+    def __init__(self, params, master=None):
         self.params = list(params)
+        self.master = self.params if master is None else list(master)
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = np.empty(max((p.data.size for p in self.params), default=0))
+        self.m = [np.zeros_like(w.data) for w in self.master]
+        self.v = [np.zeros_like(w.data) for w in self.master]
+        self._scratch = np.empty(max((w.data.size for w in self.master), default=0))
 
     def step(self, lr: float) -> None:
         if any(p.grad is None for p in self.params):
@@ -434,18 +458,20 @@ class Adam:
         root_bc2 = math.sqrt(1 - self.BETA2 ** self.step_count)
         step_size = lr * root_bc2 / (1 - self.BETA1 ** self.step_count)
         eps_hat = self.EPS * root_bc2
-        for p, m, v in zip(self.params, self.m, self.v):
+        for p, w, m, v in zip(self.params, self.master, self.m, self.v):
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
-            # p -= step_size (m / (sqrt(v) + eps_hat))
-            s = self._scratch[:p.data.size].reshape(p.data.shape)
+            # w -= step_size (m / (sqrt(v) + eps_hat)), all in float64
+            s = self._scratch[:w.data.size].reshape(w.data.shape)
             m *= self.BETA1
-            m += np.multiply(p.grad, 1 - self.BETA1, out=s)
+            m += np.multiply(p.grad, 1 - self.BETA1, out=s, dtype=np.float64)
             v *= self.BETA2
-            np.square(p.grad, out=s)
+            np.square(p.grad, out=s, dtype=np.float64)
             v += np.multiply(s, 1 - self.BETA2, out=s)
             np.sqrt(v, out=s)
             s += eps_hat
             np.divide(m, s, out=s)
             s *= step_size
-            p.data -= s
+            w.data -= s
+            if p is not w:
+                np.copyto(p.data, w.data, casting="same_kind")
         zero_grads(self.params)

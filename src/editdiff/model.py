@@ -134,15 +134,20 @@ class DenoiserModel:
         return list(self.params.values())
 
     def for_rollouts(self) -> DenoiserModel:
-        """A float32 twin of the model, for tape-free rollouts: the
-        parameters and the position and time tables are cast once, and the
-        config is shared.  No twin parameter requires grad, so the twin's
-        forward builds no tape and keeps float32 throughout.  The twin is a
-        snapshot: ``denoise_loop`` makes one per call, so no twin outlives a
-        parameter update."""
+        """A float32 twin of the model, for tape-free rollouts.  No twin
+        parameter requires grad, so the twin's forward builds no tape.  The
+        twin is a snapshot: ``denoise_loop`` makes one per call, so no twin
+        outlives a parameter update."""
+        return self._float32_twin(requires_grad=False)
+
+    def _float32_twin(self, requires_grad: bool) -> DenoiserModel:
+        """The parameters and the position and time tables cast once to
+        float32, with the config shared, so the twin's forward runs in
+        float32 throughout: tape-free for rollouts, or a float32 tape for
+        training when ``requires_grad``."""
         twin = DenoiserModel.__new__(DenoiserModel)
         twin.cfg = self.cfg
-        twin.params = {name: Tensor(p.data.astype(np.float32))
+        twin.params = {name: Tensor(p.data.astype(np.float32), requires_grad=requires_grad)
                        for name, p in self.params.items()}
         twin.pos_table = self.pos_table.astype(np.float32)
         twin.time_table = self.time_table.astype(np.float32)
@@ -351,16 +356,19 @@ class TrainConfig:
     first ``warmup_frac`` of the steps, then decays linearly to zero
     (``lr_at``); ``p_terminal`` and ``p_truncate`` set the sampler mixture.
 
-    With ``Adam.BETA2`` = 0.98 the defaults reach criterion 7's bar (EM
-    >= 0.90 and ratio >= 0.95 from random words) at each of seeds 0-4 of its
-    2000-scene setup (``tools/seed_sweep.py``).  The batch stops at 4: the
-    benchmark's ``train`` workload runs these defaults, and batch 8 lifts
-    its peak RSS past the benchmark's 5% bound.
+    With ``Adam.BETA2`` = 0.98 and mixed-precision training (``train``),
+    the defaults reach criterion 7's bar (EM >= 0.90 and ratio >= 0.95 from
+    random words) at 4 of seeds 0-4 of its 2000-scene setup
+    (``tools/seed_sweep.py``), with EM 1.000, 0.995, 0.870, 1.000 and
+    1.000, and at each of seeds 5-9.  Batch 8 fits the benchmark's
+    ``train`` workload, which runs these defaults: its float32 tape holds
+    half the bytes of a float64 one, so its peak RSS stays at the 54.5 MB
+    of float64 batch 4, where a float64 batch 8 broke the 5% bound.
     """
 
     lr: float = 1e-3
     epochs: int = 30
-    batch: int = 4
+    batch: int = 8
     warmup_frac: float = 0.15
     p_terminal: float = P_TERMINAL
     p_truncate: float = P_TRUNCATE
@@ -407,11 +415,16 @@ def holdout_exact_match(model: DenoiserModel, corpus, sch: NoiseSchedule) -> flo
 def train(corpus, sch: NoiseSchedule, cfg: ModelConfig, hyper: TrainConfig,
           log_fn=None) -> tuple[DenoiserModel, list[dict]]:
     """Train on a corpus; deterministic single-threaded under a fixed seed, whose
-    generator draws only the epoch permutations and the noised states."""
+    generator draws only the epoch permutations and the noised states.
+
+    Training is mixed precision: the forward, the loss and the backward run
+    on a float32 working copy of the model, and ``Adam`` updates the
+    float64 master, which is the model returned."""
     if not corpus.train:
         raise ModelError("empty training corpus")
     model = DenoiserModel(cfg)
-    adam = Adam(model.param_list())
+    working = model._float32_twin(requires_grad=True)
+    adam = Adam(working.param_list(), master=model.param_list())
     rng = np.random.default_rng(hyper.seed)
     n = len(corpus.train)
     steps_per_epoch = math.ceil(n / hyper.batch)
@@ -428,7 +441,7 @@ def train(corpus, sch: NoiseSchedule, cfg: ModelConfig, hyper: TrainConfig,
             states = [sample_denoising_example(ex.caption, sch, corpus.vocab, rng,
                                                hyper.p_terminal, hyper.p_truncate)
                       for ex in batch]
-            op_logits, word_logits = model.forward_packed(
+            op_logits, word_logits = working.forward_packed(
                 [ex.condition for ex in batch], [x_t.ids() for x_t, _ in states],
                 [t for _, t in states])
             loss, l_edit, l_lang = model_loss(

@@ -222,6 +222,22 @@ def test_gather_nd_ids_route_gradients():
     assert np.array_equal(table.grad[:, 0], [1.0, 0.0, 3.0])
 
 
+@pytest.mark.parametrize("ids", [[3, 0, 5], [4, 1, 4, 4, 0, 1], [[2, 2], [0, 6]], [6]])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_gather_backward_is_the_scatter_add_of_np_add_at(ids, dtype):
+    # distinct ids are scattered, repeated ones summed by a one-hot product;
+    # both give np.add.at's sums, for tables of one, two and three axes
+    rng = np.random.default_rng(len(ids))
+    for shape in ((7,), (7, 3), (7, 2, 3)):
+        table = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+        weights = rng.normal(size=np.shape(ids) + shape[1:]).astype(dtype)
+        backward(sum_all(mul(ad.gather(table, ids), Tensor(weights))))
+        expect = np.zeros(shape, dtype=dtype)
+        np.add.at(expect, np.asarray(ids), weights)
+        assert table.grad.dtype == dtype
+        np.testing.assert_allclose(table.grad, expect, rtol=1e-6 if dtype == np.float32 else 1e-15)
+
+
 def test_no_grad_builds_no_tape():
     # a node is recorded exactly when one of its inputs requires grad
     const = Tensor([1.0, 2.0])
@@ -236,28 +252,44 @@ def test_no_grad_builds_no_tape():
     assert np.array_equal(a.grad, const.data) and const.grad is None
 
 
-def test_float32_data_stays_float32_only_where_no_tape_is_built():
+def test_a_node_takes_its_operands_dtype():
     rng = np.random.default_rng(21)
     narrow = rng.normal(size=(5, 6)).astype(np.float32)
     assert Tensor(narrow).data.dtype == np.float32
-    assert Tensor(narrow, requires_grad=True).data.dtype == np.float64
+    assert Tensor(narrow, requires_grad=True).data.dtype == np.float32
     assert Tensor(narrow.astype(np.float64)).data.dtype == np.float64
     assert Tensor(3).data.dtype == np.float64
     (q, k, v), back, key_bias = _ragged_attention_inputs(rng)
     wide = ad.attention(q, k, v, back, 3, back, key_bias, 2)
-    q32, k32, v32 = (Tensor(t.data.astype(np.float32)) for t in (q, k, v))
-    out = ad.attention(q32, k32, v32, back, 3, back, key_bias, 2)
-    h = ad.layer_norm(ad.silu(ad.add(out, ad.scale(q32, 0.5))),
-                      Tensor(narrow[0]), Tensor(narrow[1]))
-    rows = ad.concat([ad.gather(h, [0, 2]), ad.gather(h, [1, 3])])
-    y = ad.linear(rows, Tensor(narrow.T[:, :4]), Tensor(narrow[2, :4]))
+
+    def chain(requires_grad):
+        """The nodes of the model's forward in one chain, on float32 leaves."""
+        q32, k32, v32, gain, bias, w, b = (Tensor(a, requires_grad=requires_grad) for a in (
+            *(t.data.astype(np.float32) for t in (q, k, v)),
+            narrow[0], narrow[1], narrow.T[:, :4].copy(), narrow[2, :4]))
+        out = ad.attention(q32, k32, v32, back, 3, back, key_bias, 2)
+        h = ad.layer_norm(ad.silu(ad.add(out, ad.scale(q32, 0.5))), gain, bias)
+        rows = ad.concat([ad.gather(h, [0, 2]), ad.gather(h, [1, 3, 1])])
+        y = ad.linear(rows, w, b)
+        return out, y, (q32, k32, v32, gain, bias, w, b)
+
+    out, y, _ = chain(requires_grad=False)
     assert out.data.dtype == y.data.dtype == np.float32
     assert not y.requires_grad and y._parents == ()
     np.testing.assert_allclose(out.data, wide.data, rtol=1e-5, atol=1e-6)
-    # a float32 operand of a node that requires grad is promoted to float64
+    # float32 leaves that require grad build a float32 tape, down to the
+    # gradients of the leaves; only the loss, a mean over float64 counts,
+    # is float64
+    out, y, leaves = chain(requires_grad=True)
+    assert out.data.dtype == y.data.dtype == np.float32 and y.requires_grad
+    loss = ad.cross_entropy(y, [0, 1, 2, 3, 0])
+    assert loss.data.dtype == np.float64
+    backward(loss)
+    assert all(t.grad.dtype == np.float32 for t in leaves)
+    # numpy promotion: any float64 operand makes the node float64
     mixed = ad.add(Tensor(narrow), leaf(np.zeros(6)))
     assert mixed.requires_grad and mixed.data.dtype == np.float64
-    assert ad.silu(Tensor(narrow, requires_grad=True)).data.dtype == np.float64
+    assert ad.silu(Tensor(narrow, requires_grad=True)).data.dtype == np.float32
 
 
 def test_scatter_rows_and_take_rows_undo_each_other():
@@ -362,6 +394,33 @@ def test_adam_efficient_form_stays_within_1e12_of_the_standard_form():
         adam.step(lr=lr)
     worst = max(np.abs(p.data - r).max() for p, r in zip(params, ref))
     assert 0 < worst <= 1e-12
+
+
+def test_adam_with_a_master_updates_it_and_writes_its_float32_cast_to_the_params():
+    # a float64 Adam fed the float32 gradients as float64 is the reference:
+    # the master must follow it bit for bit, and after every step the
+    # float32 working parameters are exactly the master cast to float32
+    rng = np.random.default_rng(16)
+    shapes = [(9, 4), (4,), (120,)]
+    master = [leaf(rng.normal(size=s)) for s in shapes]
+    working = [Tensor(w.data.astype(np.float32), requires_grad=True) for w in master]
+    ref = [leaf(w.data.copy()) for w in master]
+    adam, ref_adam = Adam(working, master=master), Adam(ref)
+    for step in range(1, 8):
+        for p, r in zip(working, ref):
+            p.grad = (rng.normal(size=p.shape) * 10.0 ** rng.integers(-3, 2)).astype(np.float32)
+            r.grad = p.grad.astype(np.float64)
+        adam.step(lr=1e-2 * step)
+        ref_adam.step(lr=1e-2 * step)
+        for p, w, r in zip(working, master, ref):
+            assert w.data.dtype == np.float64 and p.data.dtype == np.float32
+            assert np.array_equal(w.data, r.data)
+            assert np.array_equal(p.data, w.data.astype(np.float32))
+            assert p.grad is None
+    assert all(m.dtype == np.float64 for m in adam.m + adam.v)
+    # the float64 master is not float32-representable: it keeps what the
+    # working copy rounds away
+    assert any(np.any(w.data != p.data) for p, w in zip(working, master))
 
 
 def test_first_gradient_is_kept_and_a_shared_one_is_not_written_into():

@@ -1,10 +1,12 @@
 import argparse
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from editdiff.cli import (
@@ -18,8 +20,8 @@ from editdiff.cli import (
     resolve,
 )
 from editdiff.metrics import MetricError
-from editdiff.model import (CheckpointError, DenoiserModel, ModelConfig, load_checkpoint,
-                            save_checkpoint)
+from editdiff.model import (CheckpointError, DenoiserModel, ModelConfig, _param_table,
+                            load_checkpoint, save_checkpoint)
 from editdiff.world import SPLITS, WorldError, WorldSpec, load_corpus, make_corpus, save_corpus
 
 TINY_TRAIN = ["--epochs", "2", "--batch", "4", "--embed-dim", "16",
@@ -201,6 +203,36 @@ def test_train_writes_checkpoint_log_and_config(trained):
     assert len(log) == 2
     assert {"epoch", "loss_edit", "loss_language", "holdout_em"} <= set(log[0])
     assert Path(str(ckpt) + ".config").exists()
+
+
+def test_train_checkpoint_holds_the_float64_master_in_the_checkpoint_layout(trained):
+    # magic, version, config and metadata JSON, then for every block of the
+    # parameter table its name, dims and little-endian float64 values
+    _, ckpt = trained
+    blob = ckpt.read_bytes()
+    model, _ = load_checkpoint(ckpt)
+    assert blob[:5] == b"EDIF1" and struct.unpack_from("<I", blob, 5) == (1,)
+    pos = 9
+    for _ in range(2):
+        pos += 4 + struct.unpack_from("<I", blob, pos)[0]
+    table = _param_table(model.cfg)
+    assert struct.unpack_from("<I", blob, pos) == (len(table),)
+    pos += 4
+    representable = True
+    for name, shape, _ in table:
+        size = struct.unpack_from("<I", blob, pos)[0]
+        assert blob[pos + 4:pos + 4 + size] == name.encode("utf-8")
+        pos += 4 + size
+        assert struct.unpack_from(f"<{len(shape) + 1}I", blob, pos) == (len(shape),) + shape
+        pos += 4 * (len(shape) + 1)
+        values = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=pos)
+        pos += 8 * values.size
+        assert np.array_equal(values.reshape(shape), model.params[name].data)
+        representable &= np.array_equal(values, values.astype(np.float32))
+    assert pos == len(blob)
+    # trained weights that float32 holds exactly would be a working copy,
+    # not Adam's float64 master
+    assert not representable
 
 
 def test_train_is_bit_reproducible(trained, tmp_path):

@@ -264,6 +264,42 @@ def test_the_holdout_does_not_change_the_checkpoint(monkeypatch, tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_train_returns_the_float64_master_and_its_gradient_passes_central_differences():
+    # mirrors the benchmark's train check: central differences at eps 1e-6,
+    # which a float32 model would fail, on the model that train returns
+    corpus = make_corpus(WorldSpec(), 60, seed=6)
+    net, _ = _tiny_training(corpus)
+    params = net.param_list()
+    assert all(p.data.dtype == np.float64 and p.requires_grad and p.grad is None
+               for p in params)
+    # Adam's float64 master, not a float32 working copy cast back
+    assert any(np.any(p.data != p.data.astype(np.float32)) for p in params)
+    rng = np.random.default_rng(3)
+    ex = corpus.train[0]
+    x_t, t = diffusion.sample_denoising_example(ex.caption, NoiseSchedule(), corpus.vocab, rng)
+    gt = align(x_t, ex.caption)
+
+    def loss():
+        return model_loss(*net.forward(ex.condition, x_t.ids(), t), gt)[0]
+
+    backward(loss())
+    grads = [p.grad.copy() for p in params]
+    ad.zero_grads(params)
+    live = [(k, idx) for k, g in enumerate(grads) for idx in np.flatnonzero(g)]
+    eps = 1e-6
+    for pick in rng.choice(len(live), size=8, replace=False):
+        k, idx = live[pick]
+        flat, g = params[k].data.reshape(-1), grads[k].reshape(-1)
+        keep = flat[idx]
+        flat[idx] = keep + eps
+        up = float(loss().data)
+        flat[idx] = keep - eps
+        down = float(loss().data)
+        flat[idx] = keep
+        numeric = (up - down) / (2 * eps)
+        assert abs(g[idx] - numeric) <= 1e-7 + 1e-5 * abs(numeric), (k, idx)
+
+
 def test_the_sampler_mixture_is_declared_once():
     sampler = inspect.signature(diffusion.sample_denoising_example).parameters
     mixture = (diffusion.P_TERMINAL, diffusion.P_TRUNCATE)
@@ -620,6 +656,37 @@ def test_a_batch_without_content_rows_gives_every_parameter_a_gradient():
         assert np.array_equal(m.params[name].grad, np.zeros_like(m.params[name].data))
     assert np.any(m.params["edit_head.w"].grad != 0.0)
     ad.Adam(m.param_list()).step(lr=1e-3)
+
+
+# a float32-tape gradient block lies within this fraction of the largest
+# entry of the float64 block (measured: up to 1.4e-6 over 40 models)
+F32_GRAD_TOLERANCE = 1e-5
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_float32_tape_gradient_of_the_packed_forward_agrees_with_float64(num_layers):
+    # the attention key biases attn.bk get an exactly zero gradient in exact
+    # arithmetic, since the softmax of each query is shift-invariant; both
+    # tapes leave rounding residue there, which is held to 1e-9 of the
+    # largest gradient of the model instead
+    for seed in range(4):
+        m = DenoiserModel(ModelConfig(vocab_size=12, cond_vocab_size=9, embed_dim=16,
+                                      num_layers=num_layers, num_heads=2, ffn_dim=32,
+                                      max_seq_len=16, seed=seed))
+        working = m._float32_twin(requires_grad=True)
+        losses = []
+        for net in (m, working):
+            loss = model_loss(*net.forward_packed(RAGGED_CONDITIONS, RAGGED_CAPTIONS, RAGGED_TS),
+                              RAGGED_SCRIPTS)[0]
+            losses.append(float(loss.data))
+            backward(loss)
+        assert losses[1] == pytest.approx(losses[0], rel=1e-6)
+        top = max(np.abs(p.grad).max() for p in m.param_list())
+        for name, p in m.params.items():
+            g64, g32 = p.grad, working.params[name].grad
+            assert g64.dtype == np.float64 and g32.dtype == np.float32
+            scale = 1e-4 * top if name.endswith("attn.bk") else np.abs(g64).max()
+            assert np.abs(g32 - g64).max() <= F32_GRAD_TOLERANCE * scale, (seed, name)
 
 
 def test_rollout_after_an_adam_step_sees_the_new_parameters(monkeypatch, tmp_path):
