@@ -6,9 +6,8 @@ require grad builds no tape.  A node takes its operands' dtype: float32
 data stays float32 and anything else is held as float64, so float32
 leaves build a float32 tape, and numpy promotes a node with any float64
 operand to float64.  Rollouts run tape-free on float32 parameters;
-training runs a float32 tape on a float32 working copy of the model, and
-``Adam`` keeps the float64 master copy it updates.  A float64 model still
-runs a float64 tape.
+training runs a float32 tape on a float32 copy of the model, which ``Adam``
+steps in float32.  A float64 model still runs a float64 tape.
 
 A dynamic tape is rebuilt on every forward pass.  Backward consumes it in a
 fixed topological order, so single-threaded runs are bit-reproducible: each
@@ -422,17 +421,11 @@ class Adam:
     which saves two passes over every block against dividing ``m`` and ``v``
     by their corrections.  Grads are cleared after a step.
 
-    ``master``, if given, holds one float64 tensor per parameter, in the
-    same order and shapes: the copy that the step updates, as in
-    Micikevicius et al. 2018 (arXiv:1710.03740).  A step then reads the
-    gradients of ``params``, a float32 working copy, and writes each master
-    block, cast to float32, into its parameter right after updating it, so
-    the working copy never accumulates float32 rounding.  Without
-    ``master``, ``params`` are their own master.  The moments are float64
-    either way.
-
-    The update runs in place, through one float64 scratch buffer sized to
-    the largest parameter block.  The learning rate is given to each step.
+    The update runs in place in the parameters' own dtype, with the moments
+    in that dtype too, through one scratch buffer of the widest parameter
+    dtype sized to the largest block.  So float32 parameters are stepped in
+    float32, as ``train`` steps its float32 model, and float64 ones in
+    float64.  The learning rate is given to each step.
     ``BETA2`` is 0.98, as in Vaswani et al. 2017 (arXiv:1706.03762), not
     Kingma & Ba's 0.999: under the default recipe, criterion 7's setup
     leaves its language-loss plateau in time at each of seeds 0-4 with 0.98,
@@ -443,13 +436,13 @@ class Adam:
     BETA2 = 0.98
     EPS = 1e-8
 
-    def __init__(self, params, master=None):
+    def __init__(self, params):
         self.params = list(params)
-        self.master = self.params if master is None else list(master)
         self.step_count = 0
-        self.m = [np.zeros_like(w.data) for w in self.master]
-        self.v = [np.zeros_like(w.data) for w in self.master]
-        self._scratch = np.empty(max((w.data.size for w in self.master), default=0))
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        dtype = np.result_type(np.float32, *{p.data.dtype for p in self.params})
+        self._scratch = np.empty(max((p.data.size for p in self.params), default=0), dtype)
 
     def step(self, lr: float) -> None:
         if any(p.grad is None for p in self.params):
@@ -458,20 +451,18 @@ class Adam:
         root_bc2 = math.sqrt(1 - self.BETA2 ** self.step_count)
         step_size = lr * root_bc2 / (1 - self.BETA1 ** self.step_count)
         eps_hat = self.EPS * root_bc2
-        for p, w, m, v in zip(self.params, self.master, self.m, self.v):
+        for p, m, v in zip(self.params, self.m, self.v):
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
-            # w -= step_size (m / (sqrt(v) + eps_hat)), all in float64
-            s = self._scratch[:w.data.size].reshape(w.data.shape)
+            # p -= step_size (m / (sqrt(v) + eps_hat))
+            s = self._scratch[:p.data.size].reshape(p.data.shape)
             m *= self.BETA1
-            m += np.multiply(p.grad, 1 - self.BETA1, out=s, dtype=np.float64)
+            m += np.multiply(p.grad, 1 - self.BETA1, out=s)
             v *= self.BETA2
-            np.square(p.grad, out=s, dtype=np.float64)
+            np.square(p.grad, out=s)
             v += np.multiply(s, 1 - self.BETA2, out=s)
             np.sqrt(v, out=s)
             s += eps_hat
             np.divide(m, s, out=s)
             s *= step_size
-            w.data -= s
-            if p is not w:
-                np.copyto(p.data, w.data, casting="same_kind")
+            p.data -= s
         zero_grads(self.params)

@@ -20,7 +20,7 @@ import numpy as np
 from .align import lev_ratio
 from .diffusion import (denoise_loop, make_random_sequence, noising_chain, place_pins,
                         trace_to_jsonl_rows)
-from .edit_ops import CaptionState, EditOp, NoiseSchedule, Origin
+from .edit_ops import CaptionState, EditError, EditOp, NoiseSchedule, Origin
 from .metrics import (MetricError, check_limit, contains_in_order, evaluate, parse_mode,
                       write_report)
 from .model import (CheckpointError, ModelConfig, ModelError, TrainConfig,
@@ -213,14 +213,16 @@ def cmd_synth(args) -> int:
 def cmd_noise_demo(args) -> int:
     cfg = resolve(args, NOISE_DEMO_DEFAULTS)
     sch = from_fields(NoiseSchedule, cfg)
-    announce_config("noise-demo", {**cfg, "caption": args.caption})
     if args.corpus:
         vocab = load_corpus(args.corpus).vocab
     else:
         from .world import build_world_vocab
         vocab = build_world_vocab(WorldSpec())
     words = args.caption.split()
+    if not words:
+        raise EditError("cannot noise an empty caption")
     ids = vocab.encode_all(words)
+    announce_config("noise-demo", {**cfg, "caption": args.caption})
     rng = np.random.default_rng(cfg["seed"])
     chain = noising_chain(CaptionState.from_ids(ids, step=0), sch, vocab, rng, sch.T)
     print(f"x_0: {' '.join(words)}")

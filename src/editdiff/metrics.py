@@ -132,10 +132,10 @@ def _quality(hyp, ref) -> dict:
 
 
 def default_pins(x0, ref_len: int) -> dict[int, int]:
-    """Two control words from the clean caption at fixed reference positions."""
-    positions = (2, min(6, ref_len - 1))
-    words = (x0[1], x0[-1])
-    return {positions[0]: words[0], positions[1]: words[1]}
+    """The clean caption's second and last words, pinned at their own
+    positions as far as a start of ``ref_len`` words holds them: the last
+    word goes to the start's last slot when the caption is longer."""
+    return {1: x0[1], min(len(x0), ref_len) - 1: x0[-1]}
 
 
 def check_limit(limit: int | None) -> None:

@@ -112,12 +112,24 @@ def test_noise_demo_prints_all_steps(capsys):
 
 def test_noise_demo_unknown_word_is_usage_error(capsys):
     assert main(["noise-demo", "--caption", "zzznotaword"]) == EXIT_USAGE
-    assert "usage error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("caption", ["", "  \t "])
+def test_noise_demo_blank_caption_is_usage_error(capsys, caption):
+    assert main(["noise-demo", "--caption", caption]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "cannot noise an empty caption" in captured.err
+    assert captured.out == ""
 
 
 def test_noise_demo_nan_weight_is_usage_error(capsys):
     assert main(["noise-demo", "--caption", "the cat", "--w-replace", "nan"]) == EXIT_USAGE
-    assert "usage error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err
+    assert captured.out == ""
 
 
 def test_synth_too_few_scenes_is_usage_error(tmp_path, capsys):
@@ -205,7 +217,7 @@ def test_train_writes_checkpoint_log_and_config(trained):
     assert Path(str(ckpt) + ".config").exists()
 
 
-def test_train_checkpoint_holds_the_float64_master_in_the_checkpoint_layout(trained):
+def test_train_checkpoint_holds_the_trained_float32_values_in_the_float64_layout(trained):
     # magic, version, config and metadata JSON, then for every block of the
     # parameter table its name, dims and little-endian float64 values
     _, ckpt = trained
@@ -218,7 +230,6 @@ def test_train_checkpoint_holds_the_float64_master_in_the_checkpoint_layout(trai
     table = _param_table(model.cfg)
     assert struct.unpack_from("<I", blob, pos) == (len(table),)
     pos += 4
-    representable = True
     for name, shape, _ in table:
         size = struct.unpack_from("<I", blob, pos)[0]
         assert blob[pos + 4:pos + 4 + size] == name.encode("utf-8")
@@ -228,11 +239,9 @@ def test_train_checkpoint_holds_the_float64_master_in_the_checkpoint_layout(trai
         values = np.frombuffer(blob, dtype="<f8", count=math.prod(shape), offset=pos)
         pos += 8 * values.size
         assert np.array_equal(values.reshape(shape), model.params[name].data)
-        representable &= np.array_equal(values, values.astype(np.float32))
+        # float64 blocks holding exactly the trained float32 values
+        assert np.array_equal(values, values.astype(np.float32))
     assert pos == len(blob)
-    # trained weights that float32 holds exactly would be a working copy,
-    # not Adam's float64 master
-    assert not representable
 
 
 def test_train_is_bit_reproducible(trained, tmp_path):

@@ -125,11 +125,13 @@ def test_parse_mode():
 
 
 def test_default_pins_positions_and_words():
+    # the second and the last word, each at its own position in the caption
     x0 = [10, 11, 12, 13, 14, 15, 16]
-    pins = default_pins(x0, 10)
-    assert pins == {2: 11, 6: 16}
-    short = default_pins(x0, 5)
-    assert short == {2: 11, 4: 16}
+    assert default_pins(x0, 10) == {1: 11, 6: 16}
+    assert default_pins(x0, 7) == {1: 11, 6: 16}
+    # a start shorter than the caption holds the last word in its last slot
+    assert default_pins(x0, 5) == {1: 11, 4: 16}
+    assert default_pins([10, 11], 10) == {1: 11}
 
 
 class OracleModel:

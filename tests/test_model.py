@@ -264,7 +264,7 @@ def test_the_holdout_does_not_change_the_checkpoint(monkeypatch, tmp_path):
     assert runs[0] == runs[1]
 
 
-def test_train_returns_the_float64_master_and_its_gradient_passes_central_differences():
+def test_train_returns_float64_blocks_of_its_float32_values_and_passes_central_differences():
     # mirrors the benchmark's train check: central differences at eps 1e-6,
     # which a float32 model would fail, on the model that train returns
     corpus = make_corpus(WorldSpec(), 60, seed=6)
@@ -272,8 +272,12 @@ def test_train_returns_the_float64_master_and_its_gradient_passes_central_differ
     params = net.param_list()
     assert all(p.data.dtype == np.float64 and p.requires_grad and p.grad is None
                for p in params)
-    # Adam's float64 master, not a float32 working copy cast back
-    assert any(np.any(p.data != p.data.astype(np.float32)) for p in params)
+    # float64 blocks holding exactly the trained float32 values: float32
+    # holds every value, and they are not the init's
+    assert all(np.array_equal(p.data, p.data.astype(np.float32)) for p in params)
+    init = DenoiserModel(net.cfg).params
+    assert any(not np.array_equal(p.data, init[name].data.astype(np.float32))
+               for name, p in net.params.items())
     rng = np.random.default_rng(3)
     ex = corpus.train[0]
     x_t, t = diffusion.sample_denoising_example(ex.caption, NoiseSchedule(), corpus.vocab, rng)
