@@ -285,8 +285,11 @@ def cmd_edit(args) -> int:
     corpus = load_corpus(args.corpus)
     model, steps = load_model_checked(args.ckpt, corpus, args.steps)
     ex = find_example(corpus, args.scene)
+    words = args.ref.split()
+    if not words:
+        raise MetricError("--ref: cannot edit an empty caption")
     try:
-        ids = corpus.vocab.encode_all(args.ref.split())
+        ids = corpus.vocab.encode_all(words)
     except VocabularyError as e:
         raise MetricError(f"--ref: {e}") from None
     announce_config("edit", {"steps": steps, "ckpt": args.ckpt, "scene": args.scene,

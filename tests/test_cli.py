@@ -477,6 +477,18 @@ def test_edit_unknown_scene_is_usage_error(trained, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("ref", ["", "  \t "])
+def test_edit_blank_ref_is_usage_error(trained, capsys, ref):
+    corpus_dir, ckpt = trained
+    scene = load_corpus(corpus_dir).test[0].scene_id
+    code = main(["edit", "--ckpt", str(ckpt), "--corpus", str(corpus_dir),
+                 "--scene", str(scene), "--ref", ref])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--ref: cannot edit an empty caption" in captured.err
+    assert captured.out == ""
+
+
 def test_generate_command(trained, capsys):
     corpus_dir, ckpt = trained
     corpus = load_corpus(corpus_dir)

@@ -185,17 +185,25 @@ def test_denoise_stops_when_model_cannot_read_caption():
 
 
 def test_denoise_batches_rollouts_and_drops_overflowed_ones():
-    # 11 rollouts of lengths 0..4 words; each grows a word per step and stops
-    # once longer than 4, so rows drop out at different steps
-    starts = [CaptionState.from_ids([5] * (i % 5), step=6) for i in range(11)]
+    # a full batch and 3 more rollouts, of lengths 0..4 words; each grows a
+    # word per step and stops once longer than 4, so rows drop out at
+    # different steps
+    n = ROLLOUTS_PER_FORWARD + 3
+    starts = [CaptionState.from_ids([5] * (i % 5), step=6) for i in range(n)]
     model = GrowingModel()
-    batch = denoise_loop(model, [[i] for i in range(11)], starts, 6)
+    batch = denoise_loop(model, [[i] for i in range(n)], starts, 6)
     alone = [denoise_loop(GrowingModel(), [[i]], [c], 6)[0] for i, c in enumerate(starts)]
     assert batch == alone
-    assert [len(trace) for _, trace in batch] == [5 - i % 5 for i in range(11)]
+    lengths = [5 - i % 5 for i in range(n)]
+    assert [len(trace) for _, trace in batch] == lengths
+    # a step hands over only the rollouts still live, one full batch at a
+    # time: all n at the first two steps, then those whose trace is longer
+    live = [sum(length >= done for length in lengths) for done in range(6)]
+    assert live[:2] == [n, n] and live[2] < n
+    assert model.batches[:2] == [ROLLOUTS_PER_FORWARD, 3]
+    assert model.batches == [min(ROLLOUTS_PER_FORWARD, m - lo) for m in live
+                             for lo in range(0, m, ROLLOUTS_PER_FORWARD)]
     assert max(model.batches) == ROLLOUTS_PER_FORWARD
-    # a step hands over only the rollouts still live: 11, 11, 9, 7, 5, 3 of them
-    assert model.batches == [8, 3, 8, 3, 8, 1, 7, 5, 3]
 
 
 def test_denoise_validates_arguments():

@@ -734,7 +734,7 @@ def test_batched_rollouts_match_single_rollouts():
                       seed=3)
     model = DenoiserModel(cfg)
     rng = np.random.default_rng(0)
-    examples = (corpus.train * 2)[:2 * ROLLOUTS_PER_FORWARD + 3]
+    examples = (corpus.train * 3)[:2 * ROLLOUTS_PER_FORWARD + 3]
     conditions = [ex.condition for ex in examples]
     starts = [make_random_sequence(10, corpus.vocab, rng, step=10) for _ in examples]
     starts = [place_pins(s, {2: s.ids()[2], 6: s.ids()[6]}, hold=True) if i % 3 == 0 else s
@@ -746,6 +746,18 @@ def test_batched_rollouts_match_single_rollouts():
         assert batch == alone
     overflowed = [len(trace) < 10 for _, trace in denoise_loop(model, conditions, starts, 10)]
     assert any(overflowed) and not all(overflowed)
+
+
+@pytest.mark.parametrize("mode", ["random:10", "ood:0.5", "control"])
+def test_pinned_checkpoint_reports_do_not_depend_on_the_rollout_batch(monkeypatch, mode):
+    # the trained weights put real captions through every batch size
+    model, _ = load_checkpoint(PINNED)
+    corpus = make_corpus(WorldSpec(), 2000, 0)
+    reports = []
+    for size in (1, 8, 32):
+        monkeypatch.setattr(diffusion, "ROLLOUTS_PER_FORWARD", size)
+        reports.append(evaluate(model, corpus, mode, model.cfg.max_T, 0, limit=20))
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_tracer_can_find_the_rollout_entry_points():

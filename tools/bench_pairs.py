@@ -8,12 +8,13 @@ in each checkout, one after the other, with the side that goes first
 alternating from pair to pair.  The result file that each run writes under
 its checkout's ``perfbench/out/`` is read back.  The record holds, per
 workload and side, the median and quartiles of every end-to-end metric of
-``BENCHMARK.json`` and of the raw (unscaled) throughput, the number of pairs
-the change won on each, whether every run was correct, and the machine,
-numpy version and revision of each side.  A checkout that is not the root
-of a git work tree is named by ``sha256:`` and a digest of the paths and
-bytes of its ``src/`` and ``perfbench/`` files, leaving out caches, build
-metadata and ``perfbench/out/``.
+``BENCHMARK.json``, of the raw (unscaled) throughput and of the speed of
+each pace loop, the number of pairs the change won on each metric, whether
+every run was correct, and the machine, numpy version and revision of each
+side.  Each pair prints its scaled and raw items/s.  A checkout that is not
+the root of a git work tree is named by ``sha256:`` and a digest of the
+paths and bytes of its ``src/`` and ``perfbench/`` files, leaving out
+caches, build metadata and ``perfbench/out/``.
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ def summary(runs: list[dict], metrics: list[dict]) -> dict:
            for m in metrics}
     out["raw_items_per_s"] = quartiles([r["raw_items_per_s"] for r in runs])
     out["raw_setup_s"] = quartiles([r["raw_setup_s"] for r in runs])
+    # scaled figures divide by these, so a change in them moves scaled and
+    # raw figures apart
+    out["pace_speed"] = {kind: quartiles([r["pace_speed"][kind] for r in runs])
+                         for kind in runs[0]["pace_speed"]}
     out["all_correct"] = all(r["result"]["correct"] and not r["result"]["failed"] for r in runs)
     return out
 
@@ -119,6 +124,7 @@ def main(argv=None) -> int:
                 runs[side].append(run_once(sides[side], workload, args.seed, seconds))
             print(f"{workload} pair {pair + 1}/{PAIRS}: " + ", ".join(
                 f"{side} {runs[side][-1]['result']['metrics']['items_per_s']['value']:.1f}"
+                f" (raw {runs[side][-1]['raw_items_per_s']:.1f})"
                 for side in ("base", "change")), flush=True)
         record["machine"] = {side: runs[side][-1]["machine"] for side in runs}
         record["workloads"][workload] = {
