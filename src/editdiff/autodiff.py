@@ -18,8 +18,9 @@ differentiated only once.  Tensors the caller still holds keep their
 checked eagerly and errors name the offending op.  ``linear``,
 ``layer_norm`` and ``attention`` are each one node for a whole block (an
 affine map, a layer norm with its gain and bias, multi-head attention over
-padded sequences).  Each repeats the numpy calls of the chain of primitive
-nodes it stands for, so it gives that chain's bits with fewer tape nodes.
+padded sequences).  Each repeats the arithmetic of the chain of primitive
+nodes it stands for, step by step, some steps in place, so it gives that
+chain's bits with fewer tape nodes and fewer buffers.
 ``gather`` is the one node that selects rows, and ``concat`` stacks rows.
 
 Gradients are not copied on the way: a tensor's first gradient becomes its
@@ -159,10 +160,12 @@ def layer_norm(x, gain, bias) -> Tensor:
     if x.data.ndim != 2 or gain.shape != (x.shape[1],) or bias.shape != gain.shape:
         raise ShapeError(f"layer_norm: incompatible shapes {x.shape}, {gain.shape} "
                          f"and {bias.shape}")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # centred once: the mean, the squares and their mean are the steps of
+    # np.var, so this gives its bits without a second centring pass
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mean) * inv
+    xhat = np.multiply(xc, inv, out=xc)
     out_data = xhat * gain.data
     out_data += bias.data
 
@@ -215,7 +218,7 @@ def attention(q, k, v, q_back, q_len: int, back, key_bias, heads: int) -> Tensor
     dh = d // heads
     factor = 1.0 / math.sqrt(dh)
 
-    # the numpy calls, and their order, are those of the chain of primitive
+    # the arithmetic, and its order, is that of the chain of primitive
     # nodes this node replaced: rows scattered into zero padding, reshaped
     # and permuted into heads, q k^T, scaled, masked, softmax, times v, and
     # the heads merged and the rows taken back; backward mirrors each step
@@ -229,8 +232,12 @@ def attention(q, k, v, q_back, q_len: int, back, key_bias, heads: int) -> Tensor
 
     qh = heads_of(q.data, (0, 2, 1, 3), q_back, q_len)
     kh = heads_of(k.data, (0, 2, 3, 1), back, length)
-    scores = (qh @ kh) * factor + key_bias
-    y = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    # scale, mask and softmax run in place on the buffer of the scores
+    y = qh @ kh
+    y *= factor
+    y += key_bias
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     vh = heads_of(v.data, (0, 2, 1, 3), back, length)
     out_data = rows_of(y @ vh, (0, 2, 1, 3), q_back, q_len)

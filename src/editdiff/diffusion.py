@@ -128,7 +128,11 @@ def denoise_loop(model, conditions, starts, steps: int
     ``DenoiserModel`` that is a float32 copy of its parameters, since a step
     reads only the argmaxes of the heads, and a copy made per call cannot
     miss a later parameter update.  Each step hands the live rollouts to
-    that model's ``predict_script`` in batches of ``ROLLOUTS_PER_FORWARD``.
+    that model's ``predict_script`` in batches of ``ROLLOUTS_PER_FORWARD``,
+    one row per distinct input: rollouts whose conditions and words are
+    equal at a step, such as a hard-pinned and a soft twin of one start
+    while their words agree, share the script of the first of them.  The
+    model reads no origins, and all rollouts share the step ``t``.
 
     Words tagged ``Origin.PINNED`` (see ``place_pins``) are held: the slot
     of each is overridden to KEEP before a step is applied, which also
@@ -142,7 +146,7 @@ def denoise_loop(model, conditions, starts, steps: int
     if steps < 1:
         raise EditError("denoising needs at least one step")
     states = list(starts)
-    conditions = [list(c) for c in conditions]
+    conditions = [tuple(c) for c in conditions]
     if len(conditions) != len(states):
         raise EditError(f"{len(conditions)} conditions and {len(states)} starts; "
                         f"need one condition per start")
@@ -152,22 +156,30 @@ def denoise_loop(model, conditions, starts, steps: int
     traces: list[list[TraceStep]] = [[] for _ in states]
     live = list(range(len(states)))
     for t in range(steps, 0, -1):
+        # one row per distinct input; the rollouts that repeat it share its script
+        keys = [(conditions[i], tuple(states[i].ids())) for i in live]
+        first: dict[tuple, int] = {}
+        for i, key in zip(live, keys):
+            first.setdefault(key, i)
+        decoded = list(first.values())
+        scripts: dict[int, EditScript | None] = {}
+        for lo in range(0, len(decoded), ROLLOUTS_PER_FORWARD):
+            batch = decoded[lo:lo + ROLLOUTS_PER_FORWARD]
+            scripts.update(zip(batch, model.predict_script(
+                [conditions[i] for i in batch], [states[i] for i in batch], t)))
         still_live = []
-        for lo in range(0, len(live), ROLLOUTS_PER_FORWARD):
-            batch = live[lo:lo + ROLLOUTS_PER_FORWARD]
-            scripts = model.predict_script([conditions[i] for i in batch],
-                                           [states[i] for i in batch], t)
-            for i, script in zip(batch, scripts):
-                if script is None:
-                    continue
-                if pinned[i]:
-                    script = EditScript(script.slots[:1] + tuple(
-                        (EditOp.KEEP, None) if tok.origin is Origin.PINNED else slot
-                        for tok, slot in zip(states[i].tokens, script.slots[1:])))
-                after = apply_script(states[i], script, decrement_step=True)
-                traces[i].append(TraceStep(t, script, states[i], after))
-                states[i] = after
-                still_live.append(i)
+        for i, key in zip(live, keys):
+            script = scripts[first[key]]
+            if script is None:
+                continue
+            if pinned[i]:
+                script = EditScript(script.slots[:1] + tuple(
+                    (EditOp.KEEP, None) if tok.origin is Origin.PINNED else slot
+                    for tok, slot in zip(states[i].tokens, script.slots[1:])))
+            after = apply_script(states[i], script, decrement_step=True)
+            traces[i].append(TraceStep(t, script, states[i], after))
+            states[i] = after
+            still_live.append(i)
         live = still_live
     return list(zip(states, traces))
 

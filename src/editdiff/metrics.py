@@ -151,7 +151,8 @@ def evaluate(model, corpus: Corpus, mode: str, steps: int, seed: int,
 
     Control mode places two caption words (``default_pins``) in each start
     and rolls it out twice in one batch: with the words hard-pinned, and
-    soft, placed in the start only."""
+    soft, placed in the start only.  The model does not see the pins, so
+    the two twins share one forward row while their words agree."""
     kind, arg = parse_mode(mode)
     if type(seed) is not int:  # the report holds the seed, so it must be JSON
         raise MetricError(f"seed must be an int, got {type(seed).__name__}")

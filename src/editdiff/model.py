@@ -211,8 +211,13 @@ class DenoiserModel:
         START + caption rows, l_b + 1 per example, in example order, in the
         dtype of the parameters.
         """
+        rows, word_lens = self._trunk(conditions, captions, ts)
+        return self._edit_head(rows, word_lens), self._lang_head(rows)
+
+    def _trunk(self, conditions, captions, ts) -> tuple[Tensor, np.ndarray]:
+        """The final layer norm's START + caption rows, which both heads
+        read, and the START + caption length of each example."""
         cfg = self.cfg
-        dtype = self.params["word_emb"].data.dtype
         conditions = [list(c) for c in conditions]
         captions = [list(c) for c in captions]
         if not len(conditions) == len(captions) == len(ts) >= 1:
@@ -240,25 +245,31 @@ class DenoiserModel:
                 queries = layout.word_queries
             x = ad.add(x, self._attention(hq, h, queries, i, layout))
             x = ad.add(x, self._ffn(self._ln(x, f"layers.{i}.ln2"), i))
-        rows = self._ln(x, "ln_f")
-        op_logits = self._linear(rows, "edit_head")
-        sentinel_mask = np.zeros((rows.shape[0], 4), dtype=dtype)
+        return self._ln(x, "ln_f"), word_lens
+
+    def _edit_head(self, rows: Tensor, word_lens: np.ndarray) -> Tensor:
+        """Op logits of the trunk's rows; each example's START row, its
+        first, is masked to KEEP/INSERT."""
+        sentinel_mask = np.zeros((rows.shape[0], 4), dtype=rows.data.dtype)
         starts = np.cumsum(word_lens) - word_lens
         sentinel_mask[starts, int(EditOp.REPLACE)] = NEG_INF
         sentinel_mask[starts, int(EditOp.DELETE)] = NEG_INF
-        op_logits = ad.add(op_logits, Tensor(sentinel_mask))
-        word_logits = self._linear(rows, "lang_head")
+        return ad.add(self._linear(rows, "edit_head"), Tensor(sentinel_mask))
+
+    def _lang_head(self, rows: Tensor) -> Tensor:
+        """Content-word logits of any trunk rows."""
         # special ids never appear inside captions, so the content head
         # must not be able to emit them
-        special_mask = np.zeros((1, cfg.vocab_size), dtype=dtype)
+        special_mask = np.zeros((1, self.cfg.vocab_size), dtype=rows.data.dtype)
         special_mask[0, :NUM_SPECIALS] = NEG_INF
-        word_logits = ad.add(word_logits, Tensor(special_mask))
-        return op_logits, word_logits
+        return ad.add(self._linear(rows, "lang_head"), Tensor(special_mask))
 
     def predict_script(self, conditions, captions, t: int) -> list[EditScript | None]:
         """Greedy argmax decoding of both heads into one well-formed script
         per caption, all captions at step ``t`` in one forward, which is
-        float32 and tape-free on the twin that rollouts run on.
+        float32 and tape-free on the twin that rollouts run on.  A word is
+        read only where the op is INSERT or REPLACE, so the language head
+        runs on those rows alone, and not at all at an all-KEEP step.
 
         A caption that has outgrown ``max_seq_len`` with its condition gets
         None, which ends its rollout (see ``denoise_loop``).
@@ -268,10 +279,15 @@ class DenoiserModel:
                 if len(cond) + 1 + len(c) <= self.cfg.max_seq_len]
         if not rows:
             return scripts
-        op_logits, word_logits = self.forward_packed(
+        trunk, word_lens = self._trunk(
             [conditions[i] for i in rows], [captions[i].ids() for i in rows], [t] * len(rows))
-        ops = np.argmax(op_logits.data, axis=1).tolist()
-        words = np.argmax(word_logits.data, axis=1).tolist()
+        ops = np.argmax(self._edit_head(trunk, word_lens).data, axis=1)
+        words = np.zeros_like(ops)
+        takes_word = np.flatnonzero((ops == EditOp.INSERT) | (ops == EditOp.REPLACE))
+        if takes_word.size:
+            words[takes_word] = np.argmax(
+                self._lang_head(ad.gather(trunk, takes_word)).data, axis=1)
+        ops, words = ops.tolist(), words.tolist()
         start = 0
         for i in rows:
             end = start + len(captions[i]) + 1

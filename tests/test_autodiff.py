@@ -466,6 +466,56 @@ def test_affine_layer_norm_is_norm_times_gain_plus_bias_bit_for_bit():
         ad.layer_norm(inputs[0], leaf(np.ones(6)), inputs[2])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_gives_the_bits_of_the_np_var_formula(dtype):
+    # rows far from zero mean and wide enough for pairwise summation; the
+    # node centres once and must still round exactly as np.var does
+    rng = np.random.default_rng(17)
+    for shape in ((5, 8), (40, 128), (3, 700)):
+        x = rng.normal(rng.normal(0.0, 30.0, size=(shape[0], 1)), 2.0, size=shape).astype(dtype)
+        gain, bias = (rng.normal(size=shape[1]).astype(dtype) for _ in range(2))
+        mean = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + ad.LAYER_NORM_EPS)
+        want = (x - mean) * inv * gain + bias
+        for requires_grad in (False, True):
+            got = ad.layer_norm(Tensor(x, requires_grad=requires_grad), gain, bias)
+            assert got.data.dtype == dtype and np.array_equal(got.data, want)
+
+
+def out_of_place_attention(q, k, v, q_back, q_len, back, key_bias, heads):
+    """The attention forward with every softmax step out of place."""
+    batch, length, d = key_bias.shape[0], key_bias.shape[3], q.shape[1]
+    dh = d // heads
+
+    def heads_of(rows, axes, at, n):
+        padded = np.zeros((batch * n, d), dtype=q.dtype)
+        padded[at] = rows
+        return np.transpose(padded.reshape((batch, n, heads, dh)), axes)
+
+    scores = ((heads_of(q, (0, 2, 1, 3), q_back, q_len) @ heads_of(k, (0, 2, 3, 1), back, length))
+              * (1.0 / math.sqrt(dh)) + key_bias.astype(q.dtype))
+    y = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    y = y / y.sum(axis=-1, keepdims=True)
+    out = y @ heads_of(v, (0, 2, 1, 3), back, length)
+    return np.transpose(out, (0, 2, 1, 3)).reshape((batch * q_len, d))[q_back]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_gives_the_bits_of_an_out_of_place_softmax(dtype):
+    rng = np.random.default_rng(18)
+    for batch, heads in ((1, 1), (3, 2), (9, 4)):
+        lens = rng.integers(1, 12, size=batch)
+        length = int(lens.max())
+        back = np.concatenate([b * length + np.arange(n) for b, n in enumerate(lens)])
+        key_bias = np.where(np.arange(length) < lens[:, None], 0.0, -1e9)[:, None, None, :]
+        q, k, v = (rng.normal(0.0, 3.0, size=(len(back), 16)).astype(dtype) for _ in range(3))
+        want = out_of_place_attention(q, k, v, back, length, back, key_bias, heads)
+        for requires_grad in (False, True):
+            got = ad.attention(Tensor(q, requires_grad=requires_grad), k, v, back, length, back,
+                               key_bias, heads)
+            assert got.data.dtype == dtype and np.array_equal(got.data, want)
+
+
 def _ragged_attention_inputs(rng, d=6):
     # two sequences of 3 and 2 rows padded to length 3; the packed rows are
     # out of sequence order and flat position 5 is padding

@@ -206,6 +206,101 @@ def test_denoise_batches_rollouts_and_drops_overflowed_ones():
     assert max(model.batches) == ROLLOUTS_PER_FORWARD
 
 
+class InputModel:
+    """Replaces the first word below 20 by a word from 20..29 that depends
+    on the condition, the words and t, so its scripts are a function of the
+    model's input alone; records the (condition, words, t) rows of every
+    batch it is handed."""
+
+    def __init__(self):
+        self.batches = []
+
+    def for_rollouts(self):
+        return self
+
+    def predict_script(self, conditions, captions, t):
+        rows = [(tuple(cond), tuple(c.ids()), t) for cond, c in zip(conditions, captions)]
+        self.batches.append(rows)
+        return [self.script(*row) for row in rows]
+
+    @staticmethod
+    def script(cond, ids, t):
+        slots = [(EditOp.KEEP, None)] * (len(ids) + 1)
+        low = [j for j, w in enumerate(ids) if w < 20]
+        if low:
+            slots[low[0] + 1] = (EditOp.REPLACE, 20 + (sum(cond) + sum(ids) + t) % 10)
+        return EditScript(tuple(slots))
+
+    def rows_per_step(self, steps):
+        return [sum(len(b) for b in self.batches if b[0][2] == t)
+                for t in range(steps, 0, -1)]
+
+
+def twin_starts(n, pin_word):
+    """A hard-pinned and a soft twin of each of n distinct starts, which
+    place ``pin_word`` at position 1: hard twins first, as ``evaluate``
+    orders them in control mode."""
+    starts = [CaptionState.from_ids([5 + i, 6, 7 + i, 8], step=4) for i in range(n)]
+    return ([place_pins(s, {1: pin_word}, hold=True) for s in starts]
+            + [place_pins(s, {1: pin_word}, hold=False) for s in starts])
+
+
+def one_at_a_time(conditions, starts, steps):
+    return [denoise_loop(InputModel(), [cond], [start], steps)[0]
+            for cond, start in zip(conditions, starts)]
+
+
+def test_twins_with_equal_words_share_one_row_per_step():
+    # the pinned word is one the model keeps, so each pair of twins agrees
+    # at every step and is decoded once
+    n = 5
+    starts = twin_starts(n, pin_word=25)
+    conditions = [[i, 1] for i in range(n)] * 2
+    model = InputModel()
+    results = denoise_loop(model, conditions, starts, 4)
+    assert results == one_at_a_time(conditions, starts, 4)
+    assert [final.ids() for final, _ in results[:n]] == [final.ids() for final, _ in results[n:]]
+    assert model.rows_per_step(4) == [n] * 4
+    for batch in model.batches:
+        assert len(set(batch)) == len(batch)
+    # twins of one start under different conditions are different inputs
+    model = InputModel()
+    denoise_loop(model, [[i, 1] for i in range(2 * n)], starts, 4)
+    assert model.rows_per_step(4) == [2 * n] * 4
+
+
+def test_a_soft_twin_that_edits_a_pinned_word_gets_its_own_row_from_the_next_step():
+    # the pinned word 6 is the first the model replaces: the soft twin
+    # takes the edit, the hard twin keeps the word, and from then on the
+    # two are different inputs
+    starts = twin_starts(1, pin_word=6)
+    starts = [place_pins(s, {0: 25}, hold=False) for s in starts]
+    model = InputModel()
+    (hard, hard_trace), (soft, soft_trace) = denoise_loop(model, [[3], [3]], starts, 4)
+    assert [(hard, hard_trace), (soft, soft_trace)] == one_at_a_time([[3], [3]], starts, 4)
+    assert hard_trace[0].after.ids() != soft_trace[0].after.ids()
+    assert hard.ids()[1] == 6 and soft.ids()[1] != 6
+    assert model.rows_per_step(4) == [1, 2, 2, 2]
+
+
+def test_rollouts_with_distinct_inputs_batch_as_before_and_repeats_add_no_row():
+    n = 2 * ROLLOUTS_PER_FORWARD + 5
+    starts = [CaptionState.from_ids([5, 6 + i % 7, 7], step=3) for i in range(n)]
+    conditions = [[i] for i in range(n)]
+    model = InputModel()
+    assert denoise_loop(model, conditions, starts, 3) == one_at_a_time(conditions, starts, 3)
+    # every step hands over every rollout, in order, one full batch at a time
+    for step in range(3):
+        batches = model.batches[3 * step:3 * step + 3]
+        assert [len(b) for b in batches] == [ROLLOUTS_PER_FORWARD, ROLLOUTS_PER_FORWARD, 5]
+        assert [row[0] for b in batches for row in b] == [(i,) for i in range(n)]
+    # a repeat of each of the first three rollouts rides on its row
+    model = InputModel()
+    repeated = denoise_loop(model, conditions + conditions[:3], starts + starts[:3], 3)
+    assert repeated[n:] == repeated[:3]
+    assert [len(b) for b in model.batches] == [ROLLOUTS_PER_FORWARD, ROLLOUTS_PER_FORWARD, 5] * 3
+
+
 def test_denoise_validates_arguments():
     c = CaptionState.from_ids([5], step=1)
     with pytest.raises(EditError):

@@ -603,6 +603,87 @@ def test_predict_script_is_tape_free_and_skips_overlong_captions():
     assert all(p.requires_grad for p in m.param_list())
 
 
+def full_head_scripts(model, conditions, captions, t):
+    """The scripts of ``predict_script``, decoded from the argmaxes of both
+    of ``forward_packed``'s heads on every row."""
+    fits = [i for i, (cond, c) in enumerate(zip(conditions, captions))
+            if len(cond) + 1 + len(c) <= model.cfg.max_seq_len]
+    op_logits, word_logits = model.forward_packed([conditions[i] for i in fits],
+                                                  [captions[i] for i in fits], [t] * len(fits))
+    ops = np.argmax(op_logits.data, axis=1).tolist()
+    words = np.argmax(word_logits.data, axis=1).tolist()
+    scripts, start = [None] * len(captions), 0
+    for i in fits:
+        end = start + len(captions[i]) + 1
+        scripts[i] = EditScript(tuple((EditOp(op), word if op in (I, R) else None)
+                                      for op, word in zip(ops[start:end], words[start:end])))
+        start = end
+    return scripts
+
+
+def ragged_rollout_batch(cfg, rng, n=8):
+    """Conditions and captions of mixed lengths, two of them too long for
+    ``max_seq_len`` with their condition."""
+    conditions = [rng.integers(0, cfg.cond_vocab_size, size=rng.integers(0, 5)).tolist()
+                  for _ in range(n)]
+    lengths = rng.integers(0, 9, size=n)
+    lengths[[2, 5]] = cfg.max_seq_len
+    captions = [rng.integers(NUM_SPECIALS, cfg.vocab_size, size=k).tolist() for k in lengths]
+    return conditions, captions
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_predict_script_is_the_argmax_decode_of_both_full_heads(num_layers):
+    for seed in range(3):
+        cfg = ModelConfig(vocab_size=20, cond_vocab_size=9, embed_dim=16, num_layers=num_layers,
+                          num_heads=2, ffn_dim=32, max_seq_len=16, seed=seed)
+        m = DenoiserModel(cfg)
+        rng = np.random.default_rng(seed)
+        for model in (m, m.for_rollouts()):  # float64, then float32
+            for t in (1, 4, cfg.max_T):
+                conditions, captions = ragged_rollout_batch(cfg, rng)
+                got = model.predict_script(conditions, [CaptionState.from_ids(c)
+                                                        for c in captions], t)
+                assert got == full_head_scripts(model, conditions, captions, t)
+                assert got[2] is None and got[5] is None
+
+
+def test_the_language_head_sees_only_the_rows_that_take_a_word(monkeypatch):
+    cfg = ModelConfig(vocab_size=20, cond_vocab_size=9, embed_dim=16, num_layers=2,
+                      num_heads=2, ffn_dim=32, max_seq_len=16, seed=10)
+    conditions, captions = ragged_rollout_batch(cfg, np.random.default_rng(10))
+    states = [CaptionState.from_ids(c) for c in captions]
+    fits = [i for i in range(len(captions)) if i not in (2, 5)]
+    seen = []
+    real = DenoiserModel._lang_head
+
+    def spy(self, rows):
+        seen.append(rows.data.copy())
+        return real(self, rows)
+
+    monkeypatch.setattr(DenoiserModel, "_lang_head", spy)
+    model = DenoiserModel(cfg).for_rollouts()
+    # a KEEP/DELETE edit head bias leaves no row that takes a word, then a
+    # REPLACE/INSERT one leaves every row, and this untrained head predicts
+    # all four ops
+    for bias, counted in (([3.0, 0.0, 0.0, 3.0], "none"), ([0.0, 3.0, 3.0, 0.0], "all"),
+                          ([0.0] * 4, "some")):
+        model.params["edit_head.b"].data[:] = bias
+        seen.clear()
+        scripts = model.predict_script(conditions, states, 3)
+        trunk, _ = model._trunk([conditions[i] for i in fits], [captions[i] for i in fits],
+                                [3] * len(fits))
+        takes_word = [slot[0] in (I, R) for i in fits for slot in scripts[i].slots]
+        n_rows = sum(len(captions[i]) + 1 for i in fits)
+        if counted == "none":
+            assert seen == [] and not any(takes_word)
+            continue
+        [rows] = seen
+        assert np.array_equal(rows, trunk.data[takes_word])
+        assert (len(rows) == n_rows) == (counted == "all") and len(rows) > 0
+        assert scripts == full_head_scripts(model, conditions, captions, 3)
+
+
 def _random_batch(cfg, rng, n=6):
     conditions = [rng.integers(0, cfg.cond_vocab_size, size=rng.integers(1, 5)).tolist()
                   for _ in range(n)]

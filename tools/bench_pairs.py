@@ -8,8 +8,9 @@ in each checkout, one after the other, with the side that goes first
 alternating from pair to pair.  The result file that each run writes under
 its checkout's ``perfbench/out/`` is read back.  The record holds, per
 workload and side, the median and quartiles of every end-to-end metric of
-``BENCHMARK.json``, of the raw (unscaled) throughput and of the speed of
-each pace loop, the number of pairs the change won on each metric, whether
+``BENCHMARK.json``, of the raw (unscaled) throughput, of the speed of each
+pace loop and of the run process's minor page faults and user and system
+CPU seconds, the number of pairs the change won on each metric, whether
 every run was correct, and the machine, numpy version and revision of each
 side.  Each pair prints its scaled and raw items/s.  A checkout that is not
 the root of a git work tree is named by ``sha256:`` and a digest of the
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -65,12 +67,25 @@ def revision(checkout: Path) -> str:
     return rev + ("+dirty" if dirty else "")
 
 
+def run_child(argv: list[str], cwd: Path) -> dict[str, float]:
+    """Run a command to its end; returns its own resource use, from
+    ``os.wait4``: minor page faults and user and system CPU seconds."""
+    child = subprocess.Popen(argv, cwd=cwd, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    # reaped here, so the Popen object must not wait for it again
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, argv)
+    return {"minor_faults": usage.ru_minflt, "user_s": usage.ru_utime,
+            "sys_s": usage.ru_stime}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                    "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                   cwd=checkout, check=True, stdout=subprocess.DEVNULL)
+    usage = run_child([sys.executable, "perfbench/run.py", "--workload", workload,
+                       "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                      checkout)
     path = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
-    return json.loads(path.read_text(encoding="utf-8"))
+    return {**json.loads(path.read_text(encoding="utf-8")), "rusage": usage}
 
 
 def summary(runs: list[dict], metrics: list[dict]) -> dict:
@@ -82,6 +97,8 @@ def summary(runs: list[dict], metrics: list[dict]) -> dict:
     # raw figures apart
     out["pace_speed"] = {kind: quartiles([r["pace_speed"][kind] for r in runs])
                          for kind in runs[0]["pace_speed"]}
+    out["rusage"] = {kind: quartiles([r["rusage"][kind] for r in runs])
+                     for kind in runs[0]["rusage"]}
     out["all_correct"] = all(r["result"]["correct"] and not r["result"]["failed"] for r in runs)
     return out
 
@@ -134,7 +151,8 @@ def main(argv=None) -> int:
                                          for name, v in r["result"]["metrics"].items()},
                              "raw_items_per_s": r["raw_items_per_s"],
                              "raw_setup_s": r["raw_setup_s"],
-                             "pace_speed": r["pace_speed"]} for r in runs[side]]
+                             "pace_speed": r["pace_speed"],
+                             "rusage": r["rusage"]} for r in runs[side]]
                      for side in runs},
         }
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
