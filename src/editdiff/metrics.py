@@ -53,6 +53,31 @@ def _ngrams(seq, n):
     return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
 
 
+def _log_precisions(hyp, refs, max_n: int) -> list[float]:
+    """The log of each order's clipped n-gram precision, orders 1..max_n;
+    a zero count is smoothed to BLEU_EPS."""
+    out = []
+    for n in range(1, max_n + 1):
+        hyp_counts = _ngrams(hyp, n)
+        ref_counts = [_ngrams(r, n) for r in refs]
+        total = sum(hyp_counts.values())
+        clipped = 0
+        for gram, count in hyp_counts.items():
+            clipped += min(count, max(rc.get(gram, 0) for rc in ref_counts))
+        out.append(log(clipped / total if clipped > 0 else BLEU_EPS))
+    return out
+
+
+def _combine(log_ps: list[float], c: int, refs) -> float:
+    """BLEU over the orders of ``log_ps`` for a hypothesis of ``c`` > 0 words."""
+    log_sum = 0.0
+    for lp in log_ps:
+        log_sum += lp / len(log_ps)
+    r = min((abs(len(ref) - c), len(ref)) for ref in refs)[1]
+    bp = 1.0 if c > r else exp(1 - r / c)
+    return bp * exp(log_sum)
+
+
 def bleu(hyp, refs, max_n: int = 4) -> float:
     """BLEU with brevity penalty; zero-count precisions get epsilon smoothing.
 
@@ -65,21 +90,7 @@ def bleu(hyp, refs, max_n: int = 4) -> float:
     refs = [list(r) for r in refs]
     if not hyp:
         return 0.0
-    max_n = min(max_n, len(hyp))
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        hyp_counts = _ngrams(hyp, n)
-        ref_counts = [_ngrams(r, n) for r in refs]
-        total = sum(hyp_counts.values())
-        clipped = 0
-        for gram, count in hyp_counts.items():
-            clipped += min(count, max(rc.get(gram, 0) for rc in ref_counts))
-        p = clipped / total if clipped > 0 else BLEU_EPS
-        log_sum += log(p) / max_n
-    c = len(hyp)
-    r = min((abs(len(ref) - c), len(ref)) for ref in refs)[1]
-    bp = 1.0 if c > r else exp(1 - r / c)
-    return bp * exp(log_sum)
+    return _combine(_log_precisions(hyp, refs, min(max_n, len(hyp))), len(hyp), refs)
 
 
 def contains_in_order(output, pin_words) -> bool:
@@ -126,8 +137,11 @@ def _quality(hyp, ref) -> dict:
         "f1": token_f1(hyp, ref),
         "ratio": lev_ratio(hyp, ref),
     }
+    # bleu(hyp, [ref], n) for n = 1..4, with each order's n-grams counted once
+    hyp, refs = list(hyp), [list(ref)]
+    log_ps = _log_precisions(hyp, refs, min(4, len(hyp)))
     for n in range(1, 5):
-        out[f"bleu{n}"] = bleu(hyp, [ref], n)
+        out[f"bleu{n}"] = _combine(log_ps[:n], len(hyp), refs) if hyp else 0.0
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 from editdiff.edit_ops import EditOp
 from editdiff.metrics import (
     MetricError,
+    _quality,
     bleu,
     contains_in_order,
     default_pins,
@@ -96,6 +97,16 @@ def test_bleu_clips_by_the_best_reference_and_matches_recounting():
                 for _ in range(rng.integers(1, 3))]
         for n in range(1, 5):
             assert bleu(hyp, refs, n) == recounting(hyp, refs, n)
+
+
+def test_quality_gives_the_bits_of_four_bleu_calls():
+    rng = np.random.default_rng(5)
+    pairs = [([], [1, 2]), ([3], [3]), ([3, 1], [3, 1, 2]), ([1, 3, 1], [1, 3])]
+    pairs += [(rng.integers(0, 5, rng.integers(0, 14)).tolist(),
+               rng.integers(0, 5, rng.integers(1, 14)).tolist()) for _ in range(400)]
+    for hyp, ref in pairs:
+        q = _quality(hyp, ref)
+        assert [q[f"bleu{n}"] for n in range(1, 5)] == [bleu(hyp, [ref], n) for n in range(1, 5)]
 
 
 def test_contains_in_order():

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import inspect
 from pathlib import Path
@@ -262,6 +263,25 @@ def test_the_holdout_does_not_change_the_checkpoint(monkeypatch, tmp_path):
         runs.append(((tmp_path / f"cap{cap}.ckpt").read_bytes(),
                      [(row["loss_edit"], row["loss_language"]) for row in log]))
     assert runs[0] == runs[1]
+
+
+def test_training_holds_no_float64_copy_of_the_weights():
+    # the float64 init is cast to the float32 working copy and let go; the
+    # float64 model that train returns is built from the trained values
+    corpus = make_corpus(WorldSpec(), 60, seed=6)
+    cfg = ModelConfig(vocab_size=corpus.vocab.size, cond_vocab_size=corpus.spec.cond_vocab_size,
+                      embed_dim=8, num_layers=1, num_heads=1, ffn_dim=16, seed=4)
+    dtypes = []
+
+    def log_fn(row):
+        gc.collect()
+        dtypes.append({p.data.dtype for obj in gc.get_objects()
+                       if isinstance(obj, DenoiserModel) and obj.cfg is cfg
+                       for p in obj.params.values()})
+
+    net, _ = train(corpus, NoiseSchedule(), cfg, TrainConfig(epochs=2, seed=7), log_fn=log_fn)
+    assert dtypes == [{np.dtype(np.float32)}] * 2
+    assert {p.data.dtype for p in net.param_list()} == {np.dtype(np.float64)}
 
 
 def test_train_returns_float64_blocks_of_its_float32_values_and_passes_central_differences():

@@ -24,7 +24,8 @@ def test_seed_sweep_trains_and_reports_each_seed():
     assert lines[0] == ("# recipe: epochs=1, embed_dim=16, num_layers=1, num_heads=2, "
                         "ffn_dim=32")
     assert re.fullmatch(r"seed 3  em \d\.\d{3}  ratio \d\.\d{3}  holdout-em \d\.\d{3}  "
-                        r"train \d+s  language<1\.0 at epoch (\d+|-)", lines[1])
+                        r"train \d+s  language<1\.0 at epoch (\d+|-)  "
+                        r"holdout-em>=0\.9 at epoch (\d+|-)", lines[1])
     assert re.fullmatch(r"# [01] of 1 seeds reach em >= 0\.9 and ratio >= 0\.95", lines[2])
 
 

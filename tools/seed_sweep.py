@@ -10,8 +10,9 @@ default of ``TrainConfig`` or a size of ``ModelConfig`` (``embed_dim``,
 ``num_layers``, ``num_heads``, ``ffn_dim``) for every seed; any other key
 is rejected.  ``--jobs`` seeds train at a time, each in its own process
 with BLAS pinned to one thread.  One line per seed gives the exact match,
-the ratio, the last epoch's holdout exact match, the training seconds and
-the first epoch whose mean language loss is below 1.0 ("-" if none is).
+the ratio, the last epoch's holdout exact match, the training seconds, the
+first epoch whose mean language loss is below 1.0 and the first epoch
+whose holdout exact match reaches 0.9 ("-" where no epoch does).
 Every seed's holdout rolls out the same starts, so that column compares
 across seeds.
 """
@@ -36,6 +37,7 @@ from editdiff.model import ModelConfig, TrainConfig, train
 from editdiff.world import WorldSpec, make_corpus
 
 PASS_EM, PASS_RATIO = 0.90, 0.95  # criterion 7's gate
+HOLDOUT_EM_MARK = 0.9
 MODEL_SIZES = ("embed_dim", "num_layers", "num_heads", "ffn_dim")
 SETTABLE = {f.name: type(f.default) for f in fields(TrainConfig) if f.name != "seed"}
 SETTABLE.update({f.name: int for f in fields(ModelConfig) if f.name in MODEL_SIZES})
@@ -67,9 +69,11 @@ def run_seed(seed: int, n: int, overrides: dict) -> dict:
     train_s = time.time() - t0
     agg = evaluate(model, corpus, f"random:{sch.target_len}", sch.T, 0)["aggregates"]
     below = [row["epoch"] for row in log if row["loss_language"] < 1.0]
+    reached = [row["epoch"] for row in log if row["holdout_em"] >= HOLDOUT_EM_MARK]
     return {"seed": seed, "em": agg["em"], "ratio": agg["ratio"],
             "holdout_em": log[-1]["holdout_em"], "train_s": train_s,
-            "first_epoch_lang_below_1": below[0] if below else None}
+            "first_epoch_lang_below_1": below[0] if below else None,
+            "first_epoch_holdout_em": reached[0] if reached else None}
 
 
 def main(argv=None) -> int:
@@ -98,11 +102,13 @@ def main(argv=None) -> int:
         futures = [pool.submit(run_seed, s, args.n, overrides) for s in seeds]
         for future in futures:
             r = future.result()
-            first = "-" if r["first_epoch_lang_below_1"] is None else r["first_epoch_lang_below_1"]
+            lang, em = ("-" if r[k] is None else r[k]
+                        for k in ("first_epoch_lang_below_1", "first_epoch_holdout_em"))
             passed += r["em"] >= PASS_EM and r["ratio"] >= PASS_RATIO
             print(f"seed {r['seed']}  em {r['em']:.3f}  ratio {r['ratio']:.3f}  "
                   f"holdout-em {r['holdout_em']:.3f}  train {r['train_s']:.0f}s  "
-                  f"language<1.0 at epoch {first}", flush=True)
+                  f"language<1.0 at epoch {lang}  holdout-em>={HOLDOUT_EM_MARK} at epoch {em}",
+                  flush=True)
     print(f"# {passed} of {len(seeds)} seeds reach em >= {PASS_EM} and ratio >= {PASS_RATIO}")
     return 0
 
