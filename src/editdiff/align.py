@@ -6,12 +6,14 @@ A REPLACE then costs exactly an INSERT plus a DELETE, so the distance is
 the identity ``len(a) + len(b) - 2 * LCS(a, b)``, and the longest common
 subsequence comes from the bit-parallel LCS of Allison & Dix (1986) in
 the form of Hyyrö (2004): one row bit-vector per source symbol, a few
-big-integer operations per row, no O(mn) table.
+big-integer operations per row, no O(mn) table.  The script walk reads the
+same rows, over the reversed pair, through two bit tests per step.
 """
 
 from __future__ import annotations
 
-from .edit_ops import CaptionState, EditOp, EditScript, Origin
+from .edit_ops import (DELETE, INSERT, KEEP, ORIGINAL, REPLACE, CaptionState, EditOp,
+                       EditScript)
 
 REPLACE_COST = 2
 INDEL_COST = 1
@@ -26,14 +28,17 @@ def _lcs_rows(a, b, eligible=None) -> list[int]:
     matches nothing: its row takes the mask 0 and repeats the row above.
     """
     masks: dict = {}
-    for k, sym in enumerate(b):
-        masks[sym] = masks.get(sym, 0) | (1 << k)
-    full = (1 << len(b)) - 1
+    mask_of = masks.get
+    bit = 1
+    for sym in b:
+        masks[sym] = mask_of(sym, 0) | bit
+        bit <<= 1
+    full = bit - 1
     v = full
     rows = [v]
     for r, sym in enumerate(a):
         if eligible is None or eligible[r]:
-            u = v & masks.get(sym, 0)
+            u = v & mask_of(sym, 0)
             v = ((v + u) | (v - u)) & full
         rows.append(v)
     return rows
@@ -94,45 +99,56 @@ def align(x_t: CaptionState, x_0) -> EditScript:
     so the chosen path does not drift with length differences between a and
     b.  The suffix costs come from the LCS rows of the reversed sequences:
     with ``r = m - i`` and ``k = n - j``,
-    ``cost(i, j) = r - k + 2 * popcount(rows[r] & (2**k - 1))``.
+    ``cost(i, j) = r - k + 2 * popcount(rows[r] & (2**k - 1))``, so each
+    move's test reduces to bits of two rows:
+
+    - REPLACE is optimal iff ``popcount(rows[r] & (2**k - 1))`` equals
+      ``popcount(rows[r - 1] & (2**(k - 1) - 1)) + 1``;
+    - INSERT is optimal iff bit ``k - 1`` of ``rows[r]`` is set.
 
     The optimal alignment may insert several words into one gap; a script
     slot can carry only one, so a gap after a KEEP position becomes an
     INSERT with the gap's first word, and gaps next to REPLACE/DELETE keep
     the stronger op.  Deferred words are recovered on later iterations.
 
-    Tokens flagged RANDOM_WORD never count as matches: they are noise even
-    when they collide with a caption word, and crediting them with KEEP
-    would teach the denoiser to preserve lookalike words.  A random word
-    that lands on its aligned target is already the right word in the right
-    slot, so it is supervised as KEEP and no script carries a no-op REPLACE.
+    Only ORIGINAL tokens count as matches.  A RANDOM_WORD is noise even when
+    it collides with a caption word, and crediting it with KEEP would teach
+    the denoiser to preserve lookalike words; a PINNED word is held by the
+    rollout, not by the alignment, so it too is matched by nothing.  A
+    token that is not ORIGINAL but lands on its aligned target is already
+    the right word in the right slot, so it is supervised as KEEP and no
+    script carries a no-op REPLACE.
     """
     a = x_t.ids()
     b = list(x_0)
     m, n = len(a), len(b)
-    eligible = [tok.origin is Origin.ORIGINAL for tok in x_t.tokens]
+    eligible = [tok.origin is ORIGINAL for tok in x_t.tokens]
     rows = _lcs_rows(a[::-1], b[::-1], eligible[::-1])
 
-    def cost(i: int, j: int) -> int:
-        r, k = m - i, n - j
-        return r - k + 2 * (rows[r] & ((1 << k) - 1)).bit_count()
-
-    slots: list[tuple[EditOp, int | None]] = [(EditOp.KEEP, None)]
+    slots: list[tuple[EditOp, int | None]] = [(KEEP, None)]
     i = j = 0
     while i < m or j < n:
-        if i < m and j < n and eligible[i] and a[i] == b[j]:
-            # a match never costs more than the rest of the alignment
-            slots.append((EditOp.KEEP, None))
-            i, j = i + 1, j + 1
-        elif i < m and j < n and cost(i, j) == cost(i + 1, j + 1) + REPLACE_COST:
+        r, k = m - i, n - j
+        if r and k:
             word = b[j]
-            slots.append((EditOp.KEEP, None) if word == a[i] else (EditOp.REPLACE, word))
-            i, j = i + 1, j + 1
-        elif j < n and cost(i, j) == cost(i, j + 1) + INDEL_COST:
-            if slots[-1][0] is EditOp.KEEP:  # a gap keeps only its first word
-                slots[-1] = (EditOp.INSERT, b[j])
+            if eligible[i] and a[i] == word:
+                # a match never costs more than the rest of the alignment
+                slots.append((KEEP, None))
+                i, j = i + 1, j + 1
+                continue
+            # REPLACE: cost(i, j) == cost(i + 1, j + 1) + REPLACE_COST
+            low = 1 << (k - 1)
+            if ((rows[r] & (low + low - 1)).bit_count()
+                    == (rows[r - 1] & (low - 1)).bit_count() + 1):
+                slots.append((KEEP, None) if word == a[i] else (REPLACE, word))
+                i, j = i + 1, j + 1
+                continue
+        # INSERT: cost(i, j) == cost(i, j + 1) + INDEL_COST
+        if k and rows[r] >> (k - 1) & 1:
+            if slots[-1][0] is KEEP:  # a gap keeps only its first word
+                slots[-1] = (INSERT, b[j])
             j += 1
         else:
-            slots.append((EditOp.DELETE, None))
+            slots.append((DELETE, None))
             i += 1
     return EditScript(tuple(slots))

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edit_ops import (CaptionState, EditError, EditOp, EditScript, NoiseSchedule,
-                       Origin, Token, apply_script, sample_noising_step)
+from .edit_ops import (KEEP, PINNED, RANDOM_WORD, CaptionState, EditError, EditScript,
+                       NoiseSchedule, Token, apply_script, sample_noising_step)
 from .vocab import Vocabulary, sample_random_word
 
 
@@ -82,7 +82,7 @@ def make_random_sequence(n: int, vocab: Vocabulary, rng: np.random.Generator,
     """All-random-word caption of length n, the generation starting point."""
     if n < 1:
         raise EditError("random sequence length must be >= 1")
-    tokens = tuple(Token(sample_random_word(vocab, rng), Origin.RANDOM_WORD)
+    tokens = tuple(Token(sample_random_word(vocab, rng), RANDOM_WORD)
                    for _ in range(n))
     return CaptionState(tokens, step=step)
 
@@ -95,7 +95,7 @@ def place_pins(c: CaptionState, pins: dict[int, int], hold: bool) -> CaptionStat
     random-word like the rest of a generation start, and the model may edit
     them like any other word (soft pins).
     """
-    origin = Origin.PINNED if hold else Origin.RANDOM_WORD
+    origin = PINNED if hold else RANDOM_WORD
     tokens = list(c.tokens)
     for pos, word in pins.items():
         if not 0 <= pos < len(tokens):
@@ -151,7 +151,7 @@ def denoise_loop(model, conditions, starts, steps: int
         raise EditError(f"{len(conditions)} conditions and {len(states)} starts; "
                         f"need one condition per start")
     # KEEP drops no token, so a rollout holds pins for good or never
-    pinned = [any(tok.origin is Origin.PINNED for tok in c.tokens) for c in states]
+    pinned = [any(tok.origin is PINNED for tok in c.tokens) for c in states]
     model = model.for_rollouts()
     traces: list[list[TraceStep]] = [[] for _ in states]
     live = list(range(len(states)))
@@ -174,7 +174,7 @@ def denoise_loop(model, conditions, starts, steps: int
                 continue
             if pinned[i]:
                 script = EditScript(script.slots[:1] + tuple(
-                    (EditOp.KEEP, None) if tok.origin is Origin.PINNED else slot
+                    (KEEP, None) if tok.origin is PINNED else slot
                     for tok, slot in zip(states[i].tokens, script.slots[1:])))
             after = apply_script(states[i], script, decrement_step=True)
             traces[i].append(TraceStep(t, script, states[i], after))

@@ -32,6 +32,12 @@ class Origin(enum.Enum):
     PINNED = "pinned"  # placed by the user; a rollout keeps it
 
 
+# the members as module names, read once: per-slot loops use these
+KEEP, REPLACE, INSERT, DELETE = EditOp
+ORIGINAL, RANDOM_WORD, PINNED = Origin
+_TAKES_WORD = (INSERT, REPLACE)
+
+
 class EditError(ValueError):
     pass
 
@@ -80,12 +86,18 @@ class EditScript:
     slots: tuple[tuple[EditOp, int | None], ...]
 
     def __post_init__(self):
-        if not self.slots:
+        slots = self.slots
+        if not slots:
             raise EditError("script needs at least the sentinel slot")
-        if self.slots[0][0] not in (EditOp.KEEP, EditOp.INSERT):
+        if slots[0][0] not in (KEEP, INSERT):
             raise EditError("sentinel slot admits only KEEP or INSERT")
-        for i, (op, content) in enumerate(self.slots):
-            needs_content = op in (EditOp.INSERT, EditOp.REPLACE)
+        for op, content in slots:
+            if (content is None) is (op in _TAKES_WORD):
+                break
+        else:
+            return
+        for i, (op, content) in enumerate(slots):  # name the first bad slot
+            needs_content = op in _TAKES_WORD
             if needs_content and content is None:
                 raise EditError(f"slot {i}: {op.name} requires a content word")
             if not needs_content and content is not None:
@@ -108,15 +120,14 @@ def apply_script(c: CaptionState, s: EditScript, decrement_step: bool) -> Captio
         raise EditError(f"script length {len(s)} does not fit caption length {len(c)}")
     out: list[Token] = []
     op0, content0 = s.slots[0]
-    if op0 is EditOp.INSERT:
+    if op0 is INSERT:
         out.append(Token(content0))
-    for pos, (op, content) in enumerate(s.slots[1:]):
-        tok = c.tokens[pos]
-        if op is EditOp.KEEP:
+    for tok, (op, content) in zip(c.tokens, s.slots[1:]):
+        if op is KEEP:
             out.append(tok)
-        elif op is EditOp.DELETE:
+        elif op is DELETE:
             pass
-        elif op is EditOp.REPLACE:
+        elif op is REPLACE:
             out.append(Token(content))
         else:  # INSERT: keep the host word, add the new word after it
             out.append(tok)
@@ -201,26 +212,26 @@ def sample_noising_step(c: CaptionState, sch: NoiseSchedule, t: int,
         raise EditError(f"caption at step {c.step} cannot take noising step {t}")
     alpha, beta, gamma, delta = step_rates(sch, t, len(c))
     out: list[Token] = []
-    slots: list[tuple[EditOp, int | None]] = [(EditOp.KEEP, None)]
+    slots: list[tuple[EditOp, int | None]] = [(KEEP, None)]
     for tok in c.tokens:
-        if tok.origin is not Origin.ORIGINAL:
-            slots.append((EditOp.KEEP, None))
+        if tok.origin is not ORIGINAL:
+            slots.append((KEEP, None))
             out.append(tok)
             continue
         u = rng.random()
         if u < alpha:
             word = sample_random_word(vocab, rng)
-            slots.append((EditOp.REPLACE, word))
-            out.append(Token(word, Origin.RANDOM_WORD))
+            slots.append((REPLACE, word))
+            out.append(Token(word, RANDOM_WORD))
         elif u < alpha + beta:
-            slots.append((EditOp.DELETE, None))
+            slots.append((DELETE, None))
         elif u < alpha + beta + gamma:
             word = sample_random_word(vocab, rng)
-            slots.append((EditOp.INSERT, word))
-            out.append(Token(tok.id, Origin.RANDOM_WORD))
-            out.append(Token(word, Origin.RANDOM_WORD))
+            slots.append((INSERT, word))
+            out.append(Token(tok.id, RANDOM_WORD))
+            out.append(Token(word, RANDOM_WORD))
         else:
-            slots.append((EditOp.KEEP, None))
+            slots.append((KEEP, None))
             out.append(tok)
     new_state = CaptionState(tuple(out), t)
     return EditScript(tuple(slots)), new_state

@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .align import align
 from .autodiff import Adam, Tensor, backward
 from .diffusion import P_TERMINAL, P_TRUNCATE, sample_denoising_example
-from .edit_ops import EditOp, EditScript, NoiseSchedule
+from .edit_ops import DELETE, INSERT, KEEP, REPLACE, EditOp, EditScript, NoiseSchedule
 from .metrics import evaluate
 from .vocab import NUM_SPECIALS, START_ID
 
@@ -33,8 +33,10 @@ CHECKPOINT_VERSION = 1
 NEG_INF = -1e9
 
 # KEEP and DELETE slots carry no word; decoded scripts share one tuple each,
-# which keeps the traces of many rollouts small
-_BARE_SLOTS = {int(op): (op, None) for op in (EditOp.KEEP, EditOp.DELETE)}
+# which keeps the traces of many rollouts small.  The other slots take their
+# op from _OPS, by class index.
+_BARE_SLOTS = {int(op): (op, None) for op in (KEEP, DELETE)}
+_OPS = tuple(EditOp)
 
 
 class ModelError(ValueError):
@@ -252,8 +254,8 @@ class DenoiserModel:
         first, is masked to KEEP/INSERT."""
         sentinel_mask = np.zeros((rows.shape[0], 4), dtype=rows.data.dtype)
         starts = np.cumsum(word_lens) - word_lens
-        sentinel_mask[starts, int(EditOp.REPLACE)] = NEG_INF
-        sentinel_mask[starts, int(EditOp.DELETE)] = NEG_INF
+        sentinel_mask[starts, int(REPLACE)] = NEG_INF
+        sentinel_mask[starts, int(DELETE)] = NEG_INF
         return ad.add(self._linear(rows, "edit_head"), Tensor(sentinel_mask))
 
     def _lang_head(self, rows: Tensor) -> Tensor:
@@ -283,7 +285,7 @@ class DenoiserModel:
             [conditions[i] for i in rows], [captions[i].ids() for i in rows], [t] * len(rows))
         ops = np.argmax(self._edit_head(trunk, word_lens).data, axis=1)
         words = np.zeros_like(ops)
-        takes_word = np.flatnonzero((ops == EditOp.INSERT) | (ops == EditOp.REPLACE))
+        takes_word = np.flatnonzero((ops == INSERT) | (ops == REPLACE))
         if takes_word.size:
             words[takes_word] = np.argmax(
                 self._lang_head(ad.gather(trunk, takes_word)).data, axis=1)
@@ -292,7 +294,7 @@ class DenoiserModel:
         for i in rows:
             end = start + len(captions[i]) + 1
             scripts[i] = EditScript(tuple(
-                (EditOp(op), word) if op in (EditOp.INSERT, EditOp.REPLACE) else _BARE_SLOTS[op]
+                _BARE_SLOTS.get(op) or (_OPS[op], word)
                 for op, word in zip(ops[start:end], words[start:end])))
             start = end
         return scripts
@@ -335,9 +337,10 @@ class _Layout:
 
 
 def script_targets(gt: EditScript) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ops = np.array([int(op) for op, _ in gt.slots], dtype=np.int64)
-    words = np.array([0 if w is None else w for _, w in gt.slots], dtype=np.int64)
-    content_mask = np.array([op in (EditOp.INSERT, EditOp.REPLACE) for op, _ in gt.slots])
+    slots = gt.slots
+    ops = np.array([int(op) for op, _ in slots], dtype=np.int64)
+    words = np.array([0 if w is None else w for _, w in slots], dtype=np.int64)
+    content_mask = np.array([op is INSERT or op is REPLACE for op, _ in slots])
     return ops, words, content_mask
 
 

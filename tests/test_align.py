@@ -233,13 +233,18 @@ def test_weighted_ldist_matches_reference_dp(kind):
 
 
 def test_align_matches_reference_scripts():
-    checked = 0
+    # every origin other than ORIGINAL is unmatched, pinned words included;
+    # one case in eight has no ORIGINAL token at all
+    origins = list(Origin)
+    assert origins[0] is Origin.ORIGINAL
+    checked = ineligible = 0
     for rng, a, b in _cases(seed=71, n_short=20_000, n_long=100):
-        p_random = rng.random()
-        origins = [Origin.RANDOM_WORD if rng.random() < p_random else Origin.ORIGINAL
-                   for _ in a]
-        x_t = CaptionState(tuple(Token(int(i), o) for i, o in zip(a, origins)), step=1)
+        p = rng.dirichlet([1.0] * len(origins)) if checked % 8 else [0.0, 0.5, 0.5]
+        drawn = [origins[k] for k in rng.choice(len(origins), size=len(a), p=p)]
+        x_t = CaptionState(tuple(Token(int(i), o) for i, o in zip(a, drawn)), step=1)
         x_0 = TOKEN_KINDS["np.int64" if checked % 2 else "int"](b)
-        assert align(x_t, x_0) == reference_align(x_t, x_0), (a.tolist(), origins, b.tolist())
+        assert align(x_t, x_0) == reference_align(x_t, x_0), (a.tolist(), drawn, b.tolist())
         checked += 1
+        ineligible += Origin.ORIGINAL not in drawn and Origin.PINNED in drawn
     assert checked >= 20_000
+    assert ineligible >= checked // 8

@@ -57,6 +57,33 @@ def test_script_content_presence_rules():
         EditScript(())
 
 
+def _message(slots) -> str:
+    with pytest.raises(EditError) as err:
+        EditScript(tuple(slots))
+    return str(err.value)
+
+
+def test_script_errors_name_the_first_bad_slot():
+    assert _message(()) == "script needs at least the sentinel slot"
+    assert _message([(R, 4)]) == "sentinel slot admits only KEEP or INSERT"
+    assert _message([(D, None), (R, None)]) == "sentinel slot admits only KEEP or INSERT"
+    assert _message([(I, None)]) == "slot 0: INSERT requires a content word"
+    assert _message([(K, 4)]) == "slot 0: KEEP must not carry content"
+    good = [(K, None)] + [(R, 5), (K, None), (I, 6), (D, None)] * 10
+    EditScript(tuple(good))
+    for op, content, message in [(R, None, "REPLACE requires a content word"),
+                                 (I, None, "INSERT requires a content word"),
+                                 (K, 7, "KEEP must not carry content"),
+                                 (D, 8, "DELETE must not carry content")]:
+        for pos in (1, 37, len(good) - 1):
+            bad = list(good)
+            bad[pos] = (op, content)
+            assert _message(bad) == f"slot {pos}: {message}"
+            if pos + 2 < len(bad):  # a later bad slot does not change which is named
+                bad[pos + 2] = (K, 9)
+                assert _message(bad) == f"slot {pos}: {message}"
+
+
 def test_apply_all_keep_is_identity():
     c = cap([5, 6, 7])
     out = apply_script(c, all_keep_script(3), decrement_step=False)
