@@ -55,13 +55,14 @@ def weighted_ldist(a, b) -> int:
 
 
 def lev_ratio(a, b) -> float:
-    """Similarity in [0, 1]: (m + n - ldist) / (m + n); 1.0 for two empties."""
+    """Similarity in [0, 1]: (m + n - ldist) / (m + n), which is
+    ``2 * LCS(a, b) / (m + n)``; 1.0 for two empties."""
     a = list(a)
     b = list(b)
-    if not a and not b:
+    m, n = len(a), len(b)
+    if not m + n:
         return 1.0
-    total = len(a) + len(b)
-    return (total - weighted_ldist(a, b)) / total
+    return 2 * (n - _lcs_rows(a, b)[m].bit_count()) / (m + n)
 
 
 def brute_force_min_distance(a, b) -> int:

@@ -319,18 +319,18 @@ def cross_entropy(logits, targets, mask=None, example=None) -> Tensor:
     if example.shape != (rows,):
         raise ShapeError(f"cross_entropy: {rows} logit rows vs example ids {example.shape}")
     counts = np.bincount(example, weights=mask)
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1)) + logits.data.max(axis=-1)
+    top = logits.data.max(axis=-1, keepdims=True)
+    exp = np.exp(logits.data - top)
+    sums = exp.sum(axis=-1, keepdims=True)
     picked = logits.data[np.arange(rows), targets]
-    losses = (lse - picked) * mask
+    losses = ((np.log(sums) + top)[:, 0] - picked) * mask
     # each example's rows are summed on their own, so one example gives
     # exactly the plain masked mean
     value = sum(losses[example == b].sum() / count for b, count in enumerate(counts) if count)
     weights = mask / np.maximum(counts, 1.0)[example]
 
     def bwd(g, logits=logits, targets=targets, weights=weights):
-        p = np.exp(logits.data - logits.data.max(axis=-1, keepdims=True))
-        p /= p.sum(axis=-1, keepdims=True)
+        p = exp / sums  # the forward's softmax
         p[np.arange(len(targets)), targets] -= 1.0
         p *= weights[:, None]
         logits._accum(p * float(g))

@@ -157,6 +157,15 @@ def load_model_checked(ckpt: str, corpus: Corpus, steps: int | None):
     return model, rollout_steps(steps, model.cfg.max_T)
 
 
+def rollout(model, condition, start, steps: int):
+    """One rollout's final state and trace; says so if it stopped early."""
+    [(final, trace)] = denoise_loop(model, [condition], [start], steps)
+    if len(trace) < steps:
+        print(f"stopped after {len(trace)} of {steps} steps: "
+              f"the caption outgrew max_seq_len {model.cfg.max_seq_len}")
+    return final, trace
+
+
 def find_example(corpus: Corpus, scene_id: int):
     for split in ("test", "val", "train"):
         for ex in corpus.split(split):
@@ -295,7 +304,7 @@ def cmd_edit(args) -> int:
     announce_config("edit", {"steps": steps, "ckpt": args.ckpt, "scene": args.scene,
                              "ref": args.ref})
     state = CaptionState.from_ids(ids, step=steps)
-    [(final, trace)] = denoise_loop(model, [ex.condition], [state], steps)
+    final, trace = rollout(model, ex.condition, state, steps)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as f:
             for row in trace_to_jsonl_rows(trace, corpus.vocab):
@@ -316,7 +325,7 @@ def cmd_generate(args) -> int:
     rng = np.random.default_rng(cfg["seed"])
     state = make_random_sequence(cfg["len"], corpus.vocab, rng, step=cfg["steps"])
     print("input :", " ".join(corpus.vocab.decode_all(state.ids())))
-    [(final, _)] = denoise_loop(model, [ex.condition], [state], cfg["steps"])
+    final, _ = rollout(model, ex.condition, state, cfg["steps"])
     print("output:", " ".join(corpus.vocab.decode_all(final.ids())))
     print("target:", " ".join(corpus.vocab.decode_all(ex.caption)))
     return EXIT_OK
@@ -336,7 +345,7 @@ def cmd_control(args) -> int:
     state = place_pins(make_random_sequence(cfg["len"], corpus.vocab, rng, step=cfg["steps"]),
                        pins, hold=args.mode == "hard")
     print("input :", " ".join(corpus.vocab.decode_all(state.ids())))
-    [(final, _)] = denoise_loop(model, [ex.condition], [state], cfg["steps"])
+    final, _ = rollout(model, ex.condition, state, cfg["steps"])
     print("output:", " ".join(corpus.vocab.decode_all(final.ids())))
     ordered = [w for _, w in sorted(pins.items())]
     kept = contains_in_order(final.ids(), ordered)

@@ -115,45 +115,39 @@ def _param_table(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
 
 
 class DenoiserModel:
-    def __init__(self, cfg: ModelConfig):
-        rng = np.random.default_rng(cfg.seed)
-        arrays = {}
-        for name, shape, kind in _param_table(cfg):
-            if kind == "normal":
-                arrays[name] = rng.normal(0.0, 0.02, size=shape)
-            else:
-                arrays[name] = np.ones(shape) if kind == "ones" else np.zeros(shape)
-        self._hold(cfg, arrays)
-
-    def _hold(self, cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
+    def __init__(self, cfg: ModelConfig, arrays: dict[str, np.ndarray] | None = None,
+                 requires_grad: bool = True):
+        """The model of ``cfg`` holding ``arrays``, or its seeded float64 init.
+        The position and time tables are computed in float64 from ``cfg`` and
+        cast to the parameters' dtype, never cast from another copy's."""
+        if arrays is None:
+            rng = np.random.default_rng(cfg.seed)
+            arrays = {}
+            for name, shape, kind in _param_table(cfg):
+                if kind == "normal":
+                    arrays[name] = rng.normal(0.0, 0.02, size=shape)
+                else:
+                    arrays[name] = np.ones(shape) if kind == "ones" else np.zeros(shape)
         self.cfg = cfg
-        self.params: dict[str, Tensor] = {name: Tensor(data, requires_grad=True)
+        self.params: dict[str, Tensor] = {name: Tensor(data, requires_grad=requires_grad)
                                           for name, data in arrays.items()}
-        self.pos_table = position_codes(cfg.max_seq_len, cfg.embed_dim)
-        self.time_table = sinusoid_table(cfg.max_T + 1, cfg.embed_dim)
+        dtype = self.params["word_emb"].data.dtype
+        self.pos_table = position_codes(cfg.max_seq_len, cfg.embed_dim).astype(dtype, copy=False)
+        self.time_table = sinusoid_table(cfg.max_T + 1, cfg.embed_dim).astype(dtype, copy=False)
 
     def param_list(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def for_rollouts(self) -> DenoiserModel:
-        """A float32 twin of the model, for tape-free rollouts.  No twin
-        parameter requires grad, so the twin's forward builds no tape.  The
-        twin is a snapshot: ``denoise_loop`` makes one per call, so no twin
-        outlives a parameter update."""
-        return self._float32_twin(requires_grad=False)
+    def astype(self, dtype, requires_grad: bool) -> DenoiserModel:
+        """A copy of the model whose forward runs in ``dtype`` throughout,
+        with a tape only when ``requires_grad``; the model's one cast."""
+        return DenoiserModel(self.cfg, {name: p.data.astype(dtype)
+                                        for name, p in self.params.items()}, requires_grad)
 
-    def _float32_twin(self, requires_grad: bool) -> DenoiserModel:
-        """The parameters and the position and time tables cast once to
-        float32, with the config shared, so the twin's forward runs in
-        float32 throughout: tape-free for rollouts, or a float32 tape for
-        training when ``requires_grad``."""
-        twin = DenoiserModel.__new__(DenoiserModel)
-        twin.cfg = self.cfg
-        twin.params = {name: Tensor(p.data.astype(np.float32), requires_grad=requires_grad)
-                       for name, p in self.params.items()}
-        twin.pos_table = self.pos_table.astype(np.float32)
-        twin.time_table = self.time_table.astype(np.float32)
-        return twin
+    def for_rollouts(self) -> DenoiserModel:
+        """A tape-free float32 snapshot, made once per ``denoise_loop`` call,
+        so no copy outlives a parameter update."""
+        return self.astype(np.float32, requires_grad=False)
 
     def _ln(self, x: Tensor, prefix: str) -> Tensor:
         return ad.layer_norm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
@@ -269,7 +263,7 @@ class DenoiserModel:
     def predict_script(self, conditions, captions, t: int) -> list[EditScript | None]:
         """Greedy argmax decoding of both heads into one well-formed script
         per caption, all captions at step ``t`` in one forward, which is
-        float32 and tape-free on the twin that rollouts run on.  A word is
+        float32 and tape-free on the copy that rollouts run on.  A word is
         read only where the op is INSERT or REPLACE, so the language head
         runs on those rows alone, and not at all at an all-KEEP step.
 
@@ -438,21 +432,20 @@ def train(corpus, sch: NoiseSchedule, cfg: ModelConfig, hyper: TrainConfig,
     generator draws only the epoch permutations and the noised states.
 
     Training runs in float32: the forward, the loss, the backward, the
-    ``Adam`` steps and the per-epoch holdout all run on a float32 twin of
-    the float64 init, which is cast once and let go, so the run holds one
-    copy of the weights.  At the end a float64 model is built from the
-    twin's values and returned, so checkpoints and gradient checks stay
-    float64."""
+    ``Adam`` steps and the per-epoch holdout all run on
+    ``DenoiserModel(cfg).astype(np.float32, requires_grad=True)``, whose
+    float64 init is let go once cast, so the run holds one copy of the
+    weights.  The float64 cast of the trained copy is returned, so
+    checkpoints and gradient checks stay float64."""
     if not corpus.train:
         raise ModelError("empty training corpus")
-    working = DenoiserModel(cfg)._float32_twin(requires_grad=True)
+    working = DenoiserModel(cfg).astype(np.float32, requires_grad=True)
     adam = Adam(working.param_list())
     rng = np.random.default_rng(hyper.seed)
     n = len(corpus.train)
     steps_per_epoch = math.ceil(n / hyper.batch)
     total_steps = hyper.epochs * steps_per_epoch
     log: list[dict] = []
-    opt_step = 0
     t_start = time.time()
     for epoch in range(hyper.epochs):
         order = rng.permutation(n)
@@ -476,8 +469,7 @@ def train(corpus, sch: NoiseSchedule, cfg: ModelConfig, hyper: TrainConfig,
             backward(loss)
             edit_sum += l_edit
             lang_sum += l_lang
-            adam.step(lr=lr_at(opt_step, total_steps, hyper))
-            opt_step += 1
+            adam.step(lr=lr_at(adam.step_count, total_steps, hyper))
         row = {
             "epoch": epoch,
             "loss_edit": edit_sum / n,
@@ -488,9 +480,7 @@ def train(corpus, sch: NoiseSchedule, cfg: ModelConfig, hyper: TrainConfig,
         log.append(row)
         if log_fn is not None:
             log_fn(row)
-    model = DenoiserModel.__new__(DenoiserModel)  # skips the random init
-    model._hold(cfg, {name: p.data.astype(np.float64) for name, p in working.params.items()})
-    return model, log
+    return working.astype(np.float64, requires_grad=True), log
 
 
 def save_checkpoint(model: DenoiserModel, path, metadata: dict | None = None) -> None:
@@ -593,6 +583,4 @@ def load_checkpoint(path) -> tuple[DenoiserModel, dict]:
                                          ).reshape(shape).astype(np.float64)
         if pos != size:
             raise CheckpointError(f"{size - pos} trailing bytes after the parameter blocks")
-    model = DenoiserModel.__new__(DenoiserModel)  # skips the random init
-    model._hold(cfg, arrays)
-    return model, metadata
+    return DenoiserModel(cfg, arrays), metadata

@@ -38,12 +38,17 @@ def test_distance_paper_style_example():
 
 
 def test_ratio_closed_form():
-    a, b = list("abcd"), list("axcd")
-    m, n = len(a), len(b)
-    d = weighted_ldist(a, b)
-    assert lev_ratio(a, b) == pytest.approx((m + n - d) / (m + n))
-    assert lev_ratio([], []) == 1.0
-    assert lev_ratio(a, a) == 1.0
+    # the numerator is an exact integer either way, so the floats are equal
+    rng = np.random.default_rng(4)
+    pairs = [(list("abcd"), list("axcd")), ([], []), ([], [1]), ([2, 2], [])]
+    pairs += [(rng.integers(0, 5, size=rng.integers(0, 13)).tolist(),
+               rng.integers(0, 5, size=rng.integers(0, 13)).tolist()) for _ in range(300)]
+    assert sum(not a or not b for a, b in pairs) >= 10
+    for a, b in pairs:
+        total = len(a) + len(b)
+        want = (total - reference_weighted_ldist(a, b)) / total if total else 1.0
+        assert lev_ratio(a, b) == want, (a, b)
+    assert lev_ratio(list("abcd"), list("abcd")) == 1.0
     assert lev_ratio(list("ab"), list("cd")) == 0.0
 
 

@@ -741,7 +741,7 @@ def test_corrupt_checkpoint_is_format_error(trained, tmp_path, capsys):
     assert "format error" in capsys.readouterr().err
 
 
-def test_eval_overlong_rollouts_exit_ok(trained, tmp_path):
+def test_eval_overlong_rollouts_exit_ok(trained, tmp_path, capsys):
     # an untrained model with room for few caption words grows its captions
     # past max_seq_len; those rollouts stop, are scored and are counted
     corpus_dir, _ = trained
@@ -755,6 +755,23 @@ def test_eval_overlong_rollouts_exit_ok(trained, tmp_path):
                  "--mode", "control", "--out", str(out)])
     assert code == EXIT_OK
     assert json.loads(out.read_text(encoding="utf-8"))["aggregates"]["n_overflow"] >= 1
+    # edit, generate and control name an early stop in one line: a 30-word
+    # start alone outgrows max_seq_len, so no step runs, while one step adds
+    # at most 3 words to a 2-word start, which then still fits
+    ex = corpus.test[0]
+    word = corpus.vocab.decode(ex.caption[0])
+    for n, steps, said in ((30, 4, ["stopped after 0 of 4 steps: "
+                                    "the caption outgrew max_seq_len 22"]),
+                           (2, 1, [])):
+        for command, start in (("edit", ["--ref", " ".join([word] * n)]),
+                               ("generate", ["--len", str(n)]),
+                               ("control", ["--len", str(n), "--pins", f"0={word}"])):
+            capsys.readouterr()
+            code = main([command, "--ckpt", str(ckpt), "--corpus", str(corpus_dir),
+                         "--scene", str(ex.scene_id), "--steps", str(steps), *start])
+            assert code == EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            assert [line for line in lines if line.startswith("stopped")] == said, command
 
 
 def _checkpoint_bytes(cfg: dict, blocks, meta: bytes = b"{}", count: int | None = None) -> bytes:

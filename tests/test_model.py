@@ -295,9 +295,13 @@ def test_train_returns_float64_blocks_of_its_float32_values_and_passes_central_d
     # float64 blocks holding exactly the trained float32 values: float32
     # holds every value, and they are not the init's
     assert all(np.array_equal(p.data, p.data.astype(np.float32)) for p in params)
-    init = DenoiserModel(net.cfg).params
-    assert any(not np.array_equal(p.data, init[name].data.astype(np.float32))
+    init = DenoiserModel(net.cfg)
+    assert any(not np.array_equal(p.data, init.params[name].data.astype(np.float32))
                for name, p in net.params.items())
+    # the tables are recomputed in float64, not cast back from the float32 copy's
+    for table in ("pos_table", "time_table"):
+        got, want = getattr(net, table), getattr(init, table)
+        assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
     rng = np.random.default_rng(3)
     ex = corpus.train[0]
     x_t, t = diffusion.sample_denoising_example(ex.caption, NoiseSchedule(), corpus.vocab, rng)
@@ -778,7 +782,7 @@ def test_float32_tape_gradient_of_the_packed_forward_agrees_with_float64(num_lay
         m = DenoiserModel(ModelConfig(vocab_size=12, cond_vocab_size=9, embed_dim=16,
                                       num_layers=num_layers, num_heads=2, ffn_dim=32,
                                       max_seq_len=16, seed=seed))
-        working = m._float32_twin(requires_grad=True)
+        working = m.astype(np.float32, requires_grad=True)
         losses = []
         for net in (m, working):
             loss = model_loss(*net.forward_packed(RAGGED_CONDITIONS, RAGGED_CAPTIONS, RAGGED_TS),

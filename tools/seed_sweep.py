@@ -2,70 +2,59 @@
 
     python3 tools/seed_sweep.py [--seeds 0,1,2,3,4] [--jobs 2] [--n 2000] [key=value ...]
 
-Each seed s trains ``TrainConfig(seed=s)`` and ``ModelConfig(seed=s)`` on
-``make_corpus(WorldSpec(), n, seed=0)`` with the default noise schedule,
-then scores ``random:<target_len>`` on the test split at eval seed 0, as
-criterion 7 of the acceptance suite does.  ``key=value`` overrides a
-default of ``TrainConfig`` or a size of ``ModelConfig`` (``embed_dim``,
-``num_layers``, ``num_heads``, ``ffn_dim``) for every seed; any other key
-is rejected.  ``--jobs`` seeds train at a time, each in its own process
-with BLAS pinned to one thread.  One line per seed gives the exact match,
-the ratio, the last epoch's holdout exact match, the training seconds, the
-first epoch whose mean language loss is below 1.0 and the first epoch
-whose holdout exact match reaches 0.9 ("-" where no epoch does).
-Every seed's holdout rolls out the same starts, so that column compares
-across seeds.
+Each seed s trains as ``editdiff train --seed s`` does, through
+``cli.train_once``, on ``make_corpus(WorldSpec(), n, seed=0)``, then scores
+``random:<target_len>`` on the test split at eval seed 0 over the
+schedule's T steps, as criterion 7 of the acceptance suite does.
+``key=value`` sets, for every seed, a setting of ``editdiff train`` other
+than ``seed``, typed by its default in ``cli.TRAIN_DEFAULTS`` and checked
+as that command checks it: ``lr``, ``epochs``, ``batch``, ``warmup_frac``,
+``p_terminal``, ``p_truncate``, ``embed_dim``, ``num_layers``,
+``num_heads``, ``ffn_dim``, ``T``, ``w_replace``, ``w_delete``,
+``w_insert`` or ``target_len``; any other key is rejected.  ``--jobs``
+seeds train at a time, each in its own process with BLAS pinned to one
+thread.  One line per seed gives the exact match, the ratio, the last
+epoch's holdout exact match, the training seconds, the first epoch whose
+mean language loss is below 1.0 and the first epoch whose holdout exact
+match reaches 0.9 ("-" where no epoch does).  Every seed's holdout rolls
+out the same starts, so that column compares across seeds.
 """
 
 from __future__ import annotations
 
-import os
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+from editdiff import cli  # first: it pins BLAS to one thread before numpy loads
 
 import argparse
 import multiprocessing
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
 
-from editdiff.edit_ops import NoiseSchedule
 from editdiff.metrics import evaluate
-from editdiff.model import ModelConfig, TrainConfig, train
 from editdiff.world import WorldSpec, make_corpus
 
 PASS_EM, PASS_RATIO = 0.90, 0.95  # criterion 7's gate
 HOLDOUT_EM_MARK = 0.9
-MODEL_SIZES = ("embed_dim", "num_layers", "num_heads", "ffn_dim")
-SETTABLE = {f.name: type(f.default) for f in fields(TrainConfig) if f.name != "seed"}
-SETTABLE.update({f.name: int for f in fields(ModelConfig) if f.name in MODEL_SIZES})
 
 
 def parse_overrides(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
-        if not sep or key not in SETTABLE:
-            raise ValueError(f"{pair!r}: want key=value with key one of {', '.join(SETTABLE)}")
+        if not sep or key == "seed" or key not in cli.TRAIN_DEFAULTS:
+            raise ValueError(f"{pair!r}: want key=value with key one of "
+                             f"{', '.join(k for k in cli.TRAIN_DEFAULTS if k != 'seed')}")
+        kind = type(cli.TRAIN_DEFAULTS[key])
         try:
-            out[key] = SETTABLE[key](value)
+            out[key] = kind(value)
         except ValueError:
-            raise ValueError(f"{pair!r}: {value!r} is not of type "
-                             f"{SETTABLE[key].__name__}") from None
+            raise ValueError(f"{pair!r}: {value!r} is not of type {kind.__name__}") from None
     return out
 
 
-def run_seed(seed: int, n: int, overrides: dict) -> dict:
-    corpus = make_corpus(WorldSpec(), n, seed=0)
-    sch = NoiseSchedule()
-    cfg = ModelConfig(vocab_size=corpus.vocab.size, cond_vocab_size=corpus.spec.cond_vocab_size,
-                      seed=seed, **{k: v for k, v in overrides.items() if k in MODEL_SIZES})
-    hyper = TrainConfig(seed=seed, **{k: v for k, v in overrides.items()
-                                      if k not in MODEL_SIZES})
+def run_seed(seed: int, corpus, cfg: dict) -> dict:
     t0 = time.time()
-    model, log = train(corpus, sch, cfg, hyper)
+    model, log, sch = cli.train_once(corpus, {**cfg, "seed": seed}, quiet=True)
     train_s = time.time() - t0
     agg = evaluate(model, corpus, f"random:{sch.target_len}", sch.T, 0)["aggregates"]
     below = [row["epoch"] for row in log if row["loss_language"] < 1.0]
@@ -88,9 +77,9 @@ def main(argv=None) -> int:
         overrides = parse_overrides(args.overrides)
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-        TrainConfig(**{k: v for k, v in overrides.items() if k not in MODEL_SIZES})
-        ModelConfig(vocab_size=1, cond_vocab_size=1,
-                    **{k: v for k, v in overrides.items() if k in MODEL_SIZES})
+        corpus = make_corpus(WorldSpec(), args.n, seed=0)
+        cfg = {**cli.TRAIN_DEFAULTS, **overrides}
+        cli.train_configs(corpus, cfg)
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
@@ -99,7 +88,7 @@ def main(argv=None) -> int:
     passed = 0
     with ProcessPoolExecutor(max_workers=min(args.jobs, len(seeds)),
                              mp_context=multiprocessing.get_context("spawn")) as pool:
-        futures = [pool.submit(run_seed, s, args.n, overrides) for s in seeds]
+        futures = [pool.submit(run_seed, s, corpus, cfg) for s in seeds]
         for future in futures:
             r = future.result()
             lang, em = ("-" if r[k] is None else r[k]
