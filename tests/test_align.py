@@ -8,7 +8,10 @@ from editdiff.align import (
     weighted_ldist,
     align,
 )
-from editdiff.edit_ops import CaptionState, EditOp, Origin, Token, apply_script
+from editdiff.diffusion import sample_denoising_example
+from editdiff.edit_ops import (CaptionState, EditOp, NoiseSchedule, Origin, Token,
+                               apply_script)
+from editdiff.vocab import NUM_SPECIALS, build_vocab
 
 from helpers import reference_align, reference_weighted_ldist
 
@@ -237,11 +240,25 @@ def test_weighted_ldist_matches_reference_dp(kind):
         assert weighted_ldist(a, b) == reference_weighted_ldist(a, b), (a, b)
 
 
-def test_align_matches_reference_scripts():
+def _count_walks(monkeypatch) -> list[int]:
+    """Count align's calls of ``_lcs_rows``: one per state that takes the walk."""
+    walks = [0]
+    lcs_rows = _lcs_rows
+
+    def counted(*args):
+        walks[0] += 1
+        return lcs_rows(*args)
+
+    monkeypatch.setattr("editdiff.align._lcs_rows", counted)
+    return walks
+
+
+def test_align_matches_reference_scripts(monkeypatch):
     # every origin other than ORIGINAL is unmatched, pinned words included;
     # one case in eight has no ORIGINAL token at all
     origins = list(Origin)
     assert origins[0] is Origin.ORIGINAL
+    walks = _count_walks(monkeypatch)
     checked = ineligible = 0
     for rng, a, b in _cases(seed=71, n_short=20_000, n_long=100):
         p = rng.dirichlet([1.0] * len(origins)) if checked % 8 else [0.0, 0.5, 0.5]
@@ -253,3 +270,80 @@ def test_align_matches_reference_scripts():
         ineligible += Origin.ORIGINAL not in drawn and Origin.PINNED in drawn
     assert checked >= 20_000
     assert ineligible >= checked // 8
+    # both the front pass and the LCS walk write a good share of the scripts
+    assert walks[0] >= 5_000 and checked - walks[0] >= 5_000, walks[0]
+
+
+# -- the front pass: states whose original words sit at their targets ---------
+
+PASS_VOCAB = build_vocab([f"w{i}" for i in range(12)])  # small, so random words collide
+
+
+@pytest.mark.parametrize("weights", [(1.0, 0.0, 0.0), (0.5, 0.25, 0.25)])
+def test_align_front_pass_matches_reference_on_sampler_states(monkeypatch, weights):
+    # replace-only noise keeps every original word at its target, so none of
+    # its states takes the walk; mixed noise moves words, and some do
+    sch = NoiseSchedule(w_replace=weights[0], w_delete=weights[1], w_insert=weights[2])
+    walks = _count_walks(monkeypatch)
+    rng = np.random.default_rng(25)
+    branches = {"terminal": 0, "truncated": 0, "trajectory": 0}
+    ops = set()
+    for _ in range(2_000):
+        x0 = rng.integers(NUM_SPECIALS, PASS_VOCAB.size, size=rng.integers(3, 14)).tolist()
+        x_t, t = sample_denoising_example(x0, sch, PASS_VOCAB, rng)
+        script = align(x_t, x0)
+        assert script == reference_align(x_t, x0), (x_t, x0)
+        ops.update(op for op, _ in script.slots)
+        if t == sch.T:
+            branches["terminal"] += 1
+        elif (len(x_t) < len(x0) and x_t.ids() == x0[:len(x_t)]
+              and all(tok.origin is Origin.ORIGINAL for tok in x_t.tokens)):
+            branches["truncated"] += 1
+        else:
+            branches["trajectory"] += 1
+    assert min(branches.values()) >= 200, branches
+    assert ops == {K, R, I, D}
+    if sch.w_delete or sch.w_insert:
+        assert walks[0] >= 100
+    else:
+        assert walks[0] == 0
+
+
+def _tokens(*pairs) -> CaptionState:
+    return CaptionState(tuple(Token(i, o) for i, o in pairs), step=1)
+
+
+O, RW, PIN = Origin.ORIGINAL, Origin.RANDOM_WORD, Origin.PINNED
+FRONT_PASS_CASES = [
+    # (state, target, script, walks)
+    pytest.param(_tokens(), [], ((K, None),), 0, id="empty"),
+    pytest.param(_tokens(), [5, 6], ((I, 5),), 0, id="empty-state-inserts"),
+    # past the target's end: random and pinned words are deleted in closed
+    # form, but an original word there may be kept by another alignment
+    pytest.param(_tokens((5, O), (9, RW), (7, PIN), (8, RW)), [5, 6],
+                 ((K, None), (K, None), (R, 6), (D, None), (D, None)), 0, id="delete-tail"),
+    pytest.param(_tokens((5, O), (9, RW), (6, O)), [5, 6],
+                 ((K, None), (K, None), (D, None), (K, None)), 1, id="original-past-end-walks"),
+    pytest.param(_tokens((5, RW), (9, PIN), (7, O)), [5, 6, 7],
+                 ((K, None), (K, None), (R, 6), (K, None)), 0, id="random-word-on-target-kept"),
+    # a shorter state inserts the gap's first word after a KEEP, not a REPLACE
+    pytest.param(_tokens((5, O), (6, RW)), [5, 6, 7, 8],
+                 ((K, None), (K, None), (I, 7)), 0, id="insert-after-keep"),
+    pytest.param(_tokens((5, O), (9, RW)), [5, 6, 7],
+                 ((K, None), (K, None), (R, 6)), 0, id="no-insert-after-replace"),
+    pytest.param(_tokens((5, O), (9, RW)), np.array([5, 6, 7], dtype=np.int64),
+                 ((K, None), (K, None), (R, 6)), 0, id="int64-replace"),
+    pytest.param(_tokens((5, O), (6, O)), np.array([5, 6, 7], dtype=np.int64),
+                 ((K, None), (K, None), (I, 7)), 0, id="int64-insert"),
+    pytest.param(_tokens((6, O), (5, RW)), [5, 6],
+                 ((I, 5), (K, None), (D, None)), 1, id="original-off-target-walks"),
+]
+
+
+@pytest.mark.parametrize("x_t, x_0, slots, walked", FRONT_PASS_CASES)
+def test_align_front_pass_edges(monkeypatch, x_t, x_0, slots, walked):
+    walks = _count_walks(monkeypatch)
+    script = align(x_t, x_0)
+    assert walks[0] == walked
+    assert script.slots == slots
+    assert script == reference_align(x_t, x_0)
